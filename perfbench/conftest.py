@@ -1,0 +1,7 @@
+"""Import quiverglue from this checkout's src/ and the benchmark's modules by name."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
