@@ -15,12 +15,25 @@ which also yields a reduction table expressing every path in the basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .errors import MalformedRelation, NotFiniteDimensional, UnknownVertex
 from .linalg import PrimeField
 
 DEFAULT_LENGTH_CAP = 12
+
+
+def memo(owner: object, table: str, key: Any, build: Callable[[], Any]) -> Any:
+    """``build()`` computed once per ``key`` in the named table of ``owner``.
+
+    The single cache of the package: each owning algebra (or recollement)
+    keeps one ``_memo`` dict of tables.  Keys hold modules by identity, so
+    entries live as long as the owner; a fresh algebra starts cold.
+    """
+    cache = owner.__dict__.setdefault("_memo", {}).setdefault(table, {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 class Arrow(NamedTuple):

@@ -205,12 +205,10 @@ def minimal_right_approximation(
     slots = _greedy_slots(x, add_list)
     if not slots:
         return zero_morphism(zero_module(algebra), x)
-    u0, injections, _ = direct_sum_with_maps(algebra, [piece for piece, _ in slots])
+    u0, _, projections = direct_sum_with_maps(algebra, [piece for piece, _ in slots])
     f = zero_morphism(u0, x)
-    for (piece, phi), inj in zip(slots, injections):
-        blocks = {v: phi.blocks[v] @ inj.blocks[v].T for v in phi.blocks}
-        # phi o projection-onto-slot, assembled without building projections
-        f = f.add(QMorphism(u0, x, {v: np.mod(blocks[v], algebra.field.p) for v in blocks}))
+    for (_, phi), proj in zip(slots, projections):
+        f = f.add(phi.compose(proj))
     return _right_minimize(f, seed)
 
 
@@ -219,8 +217,7 @@ def minimal_left_approximation(
 ) -> QMorphism:
     """The left-minimal left add(add_list)-approximation x -> V0 (by duality)."""
     g = minimal_right_approximation(dualize(x), [dualize(piece) for piece in add_list], seed)
-    dual = dualize_morphism(g)
-    return QMorphism(x, dual.target, dual.blocks)
+    return dualize_morphism(g)
 
 
 # -- universal extensions ----------------------------------------------------
@@ -243,18 +240,18 @@ def universal_extension(
         return a, ses
     classes = hgy.ext(e, a, 1).cocycles
     sequences = [hgy.realize_extension(c, e) for c in classes]
-    total_mid, mid_inj, _ = direct_sum_with_maps(algebra, [s.mid for s in sequences])
-    total_sub, sub_inj, _ = direct_sum_with_maps(algebra, [s.sub for s in sequences])
+    total_mid, mid_inj, mid_proj = direct_sum_with_maps(algebra, [s.mid for s in sequences])
+    total_sub, _, sub_proj = direct_sum_with_maps(algebra, [s.sub for s in sequences])
     total_quot, quot_inj, _ = direct_sum_with_maps(algebra, [s.quot for s in sequences])
     incl_sum = zero_morphism(total_sub, total_mid)
     proj_sum = zero_morphism(total_mid, total_quot)
-    for s, mi, si, qi in zip(sequences, mid_inj, sub_inj, quot_inj):
-        incl_sum = incl_sum.add(mi.compose(s.incl).compose(_transpose_injection(si)))
-        proj_sum = proj_sum.add(qi.compose(s.proj).compose(_transpose_injection(mi)))
+    for s, mi, mp, sp, qi in zip(sequences, mid_inj, mid_proj, sub_proj, quot_inj):
+        incl_sum = incl_sum.add(mi.compose(s.incl).compose(sp))
+        proj_sum = proj_sum.add(qi.compose(s.proj).compose(mp))
     # codiagonal a^k -> a: sum of the coordinate projections
     codiag = zero_morphism(total_sub, a)
-    for si in sub_inj:
-        codiag = codiag.add(_transpose_injection(si))
+    for sp in sub_proj:
+        codiag = codiag.add(sp)
     a2, leg_mid, leg_a = hgy.pushout(incl_sum, codiag)
     proj = hgy._induced_from_pushout(a2, leg_mid, leg_a, proj_sum, zero_morphism(a, total_quot))
     ses = hgy.ShortExactSequence(incl=leg_a, proj=proj)
@@ -265,11 +262,6 @@ def universal_extension(
             f"universal extension left Ext^1 of dimension {leftover}; E has self-extensions?"
         )
     return a2, ses
-
-
-def _transpose_injection(inj: QMorphism) -> QMorphism:
-    """The coordinate projection corresponding to a block injection."""
-    return QMorphism(inj.target, inj.source, {v: b.T.copy() for v, b in inj.blocks.items()})
 
 
 # -- special approximation sequences -----------------------------------------

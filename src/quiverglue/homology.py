@@ -7,8 +7,8 @@ opposite algebra via duality, never by separate formulas.
 ``ext`` returns both a dimension and an explicit cocycle basis: classes
 in Ext^i(M, N) are represented by morphisms from the i-th syzygy of M
 to N, normalized by row reduction of their coordinate vectors so the
-basis is deterministic.  Resolutions are cached per module object; the
-cache is fill-once and safe for concurrent readers.
+basis is deterministic.  Resolutions are cached per module object with
+``memo``, and a request longer than the cached one replaces the entry.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import memo
 from .modcat import (
     QModule,
     QMorphism,
@@ -115,7 +116,7 @@ def projective_cover(m: QModule) -> QMorphism:
         # send the trivial-path basis vector of P(v) to gen, then extend
         # along every residue path by the module action
         for u in algebra.quiver.vertices:
-            for k, bi in enumerate(_paths_by_vertex(algebra, v)[u]):
+            for k, bi in enumerate(algebra.basis_paths_between(v, u)):
                 path = algebra.basis[bi]
                 vec = field.matmul(m.path_action(path), gen.reshape(-1, 1))[:, 0]
                 col_in_cover = np.nonzero(inj.blocks[u][:, k])[0]
@@ -126,31 +127,27 @@ def projective_cover(m: QModule) -> QMorphism:
     return morphism
 
 
-def _paths_by_vertex(algebra, v: str) -> dict[str, list[int]]:
-    cache = algebra.__dict__.setdefault("_paths_by_vertex_cache", {})
-    if v not in cache:
-        per_vertex: dict[str, list[int]] = {u: [] for u in algebra.quiver.vertices}
-        for bi in algebra.basis_paths_from(v):
-            per_vertex[algebra.basis[bi].target].append(bi)
-        cache[v] = per_vertex
-    return cache[v]
-
-
 def injective_envelope(m: QModule) -> QMorphism:
-    """The minimal injection m -> I(soc m), via the opposite algebra."""
-    cover = projective_cover(dualize(m))
-    env = dualize_morphism(cover)
-    # dualize twice gives an equal presentation of m; rebuild on m itself
-    return QMorphism(m, env.target, env.blocks)
+    """The minimal injection m -> I(soc m), via the opposite algebra.
+
+    Starts at m itself, because dualize(dualize(m)) is m.
+    """
+    return dualize_morphism(projective_cover(dualize(m)))
 
 
 def projective_resolution(m: QModule, length: int) -> Resolution:
-    """Minimal projective resolution computed out to the given degree."""
-    cache = m.algebra.__dict__.setdefault("_resolution_cache", {})
-    cached: Resolution | None = cache.get(m)
-    if cached is not None and cached.length_computed() >= length:
-        return cached
+    """Minimal projective resolution computed out to the given degree.
 
+    A cached resolution is reused when it is long enough; otherwise the
+    longer one computed here replaces it.
+    """
+    cached = memo(m.algebra, "resolution", m, lambda: _projective_resolution_compute(m, length))
+    if cached.length_computed() < length:
+        cached = m.algebra._memo["resolution"][m] = _projective_resolution_compute(m, length)
+    return cached
+
+
+def _projective_resolution_compute(m: QModule, length: int) -> Resolution:
     augmentation = projective_cover(m)
     terms = [augmentation.source]
     differentials: list[QMorphism] = []
@@ -163,7 +160,7 @@ def projective_resolution(m: QModule, length: int) -> Resolution:
         differentials.append(incl.compose(next_cover))
         terms.append(next_cover.source)
         prev_cover = next_cover
-    res = Resolution(
+    return Resolution(
         target=m,
         kind="projective",
         terms=tuple(terms),
@@ -171,8 +168,6 @@ def projective_resolution(m: QModule, length: int) -> Resolution:
         augmentation=augmentation,
         syzygies=tuple(syzygies),
     )
-    cache[m] = res
-    return res
 
 
 def injective_resolution(m: QModule, length: int) -> Resolution:
@@ -189,7 +184,7 @@ def injective_resolution(m: QModule, length: int) -> Resolution:
         kind="injective",
         terms=tuple(dualize(t) for t in res.terms),
         differentials=tuple(dualize_morphism(d) for d in res.differentials),
-        augmentation=QMorphism(m, dualize(res.terms[0]), dualize_morphism(res.augmentation).blocks),
+        augmentation=dualize_morphism(res.augmentation),
         syzygies=tuple(
             (dualize(syz), dualize_morphism(incl)) for syz, incl in res.syzygies
         ),
@@ -243,23 +238,21 @@ def ext(m: QModule, n: QModule, i: int) -> ExtGroup:
     """
     if i < 1:
         raise ValueError("ext is defined here for degree >= 1")
-    field = m.algebra.field
     if m.total_dim == 0 or n.total_dim == 0:
         return ExtGroup(i, m, n, 0, ())
-    cache = m.algebra.__dict__.setdefault("_ext_cache", {})
-    key = (m, n, i)
-    if key in cache:
-        return cache[key]
+    return memo(m.algebra, "ext", (m, n, i), lambda: _ext_compute(m, n, i))
+
+
+def _ext_compute(m: QModule, n: QModule, i: int) -> ExtGroup:
+    field = m.algebra.field
     res = projective_resolution(m, i + 1)
     syz, incl = res.syzygies[i - 1]
     if syz.total_dim == 0:
-        cache[key] = ExtGroup(i, m, n, 0, ())
-        return cache[key]
+        return ExtGroup(i, m, n, 0, ())
 
     full = hom_basis(syz, n)
     if not full:
-        cache[key] = ExtGroup(i, m, n, 0, ())
-        return cache[key]
+        return ExtGroup(i, m, n, 0, ())
     factoring = [g.compose(incl) for g in hom_basis(res.terms[i - 1], n)]
     full_vecs = np.stack([f.to_vector() for f in full], axis=1)
     if factoring:
@@ -283,8 +276,7 @@ def ext(m: QModule, n: QModule, i: int) -> ExtGroup:
         raise RuntimeError(
             f"Ext^{i} dimension mismatch: syzygy route {dimension}, complex route {complex_dim}"
         )
-    cache[key] = ExtGroup(i, m, n, dimension, tuple(cocycles))
-    return cache[key]
+    return ExtGroup(i, m, n, dimension, tuple(cocycles))
 
 
 def _hom_matrix_postcompose(fs: list[QMorphism], gs: list[QMorphism], d: QMorphism, field) -> np.ndarray:
@@ -438,14 +430,9 @@ def pd(m: QModule, cap: int = DEFAULT_DIM_CAP) -> int | None:
     """Projective dimension, or None when it exceeds the cap."""
     if m.total_dim == 0:
         return 0
-    current = m
-    for i in range(cap + 1):
-        cover = projective_cover(current)
-        syz, _ = kernel(cover)
-        if syz.total_dim == 0:
-            return i
-        current = syz
-    return None
+    # a cached resolution may run past the cap; scan only Omega^1..Omega^(cap+1)
+    syzygies = projective_resolution(m, cap + 1).syzygies[: cap + 1]
+    return next((i for i, (syz, _) in enumerate(syzygies) if syz.total_dim == 0), None)
 
 
 def injdim(m: QModule, cap: int = DEFAULT_DIM_CAP) -> int | None:

@@ -23,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 
-from .algebra import BoundQuiverAlgebra, Path
+from .algebra import BoundQuiverAlgebra, Path, memo
 from .errors import (
     AlgebraMismatch,
     FieldTooSmall,
@@ -219,16 +219,10 @@ def hom_basis(source: QModule, target: QModule) -> list[QMorphism]:
     """
     if source.algebra is not target.algebra:
         raise AlgebraMismatch("hom requires a common algebra")
-    cache = source.algebra.__dict__.setdefault("_hom_cache", {})
-    key = (source, target)
-    if key in cache:
-        return list(cache[key])
-    result = _hom_basis_compute(source, target)
-    cache[key] = tuple(result)
-    return result
+    return list(memo(source.algebra, "hom", (source, target), lambda: _hom_basis_compute(source, target)))
 
 
-def _hom_basis_compute(source: QModule, target: QModule) -> list[QMorphism]:
+def _hom_basis_compute(source: QModule, target: QModule) -> tuple[QMorphism, ...]:
     field = source.algebra.field
     quiver = source.algebra.quiver
 
@@ -239,7 +233,7 @@ def _hom_basis_compute(source: QModule, target: QModule) -> list[QMorphism]:
         offsets[v] = total
         total += sizes[v]
     if total == 0:
-        return []
+        return ()
 
     rows = []
     for a in quiver.arrows:
@@ -266,7 +260,7 @@ def _hom_basis_compute(source: QModule, target: QModule) -> list[QMorphism]:
         kernel = field.kernel_basis(system)
     else:
         kernel = field.identity(total)
-    return [morphism_from_vector(source, target, kernel[:, k]) for k in range(kernel.shape[1])]
+    return tuple(morphism_from_vector(source, target, kernel[:, k]) for k in range(kernel.shape[1]))
 
 
 def hom_dim(source: QModule, target: QModule) -> int:
@@ -368,53 +362,38 @@ def zero_module(algebra: BoundQuiverAlgebra) -> QModule:
     return QModule(algebra, {}, {})
 
 
-def _std_cache(algebra: BoundQuiverAlgebra) -> dict:
-    return algebra.__dict__.setdefault("_std_module_cache", {})
-
-
 def simple(algebra: BoundQuiverAlgebra, v: str) -> QModule:
     algebra.quiver.check_vertex(v)
-    cache = _std_cache(algebra)
-    if ("S", v) not in cache:
-        cache[("S", v)] = QModule(algebra, {v: 1}, {})
-    return cache[("S", v)]
+    return memo(algebra, "simple", v, lambda: QModule(algebra, {v: 1}, {}))
 
 
 def projective(algebra: BoundQuiverAlgebra, v: str) -> QModule:
     """P(v): basis are the residue paths with source v, arrows act by composition."""
     algebra.quiver.check_vertex(v)
-    cache = _std_cache(algebra)
-    if ("P", v) in cache:
-        return cache[("P", v)]
-    field = algebra.field
-    indices = algebra.basis_paths_from(v)
-    local = {bi: k for k, bi in enumerate(indices)}
-    per_vertex: dict[str, list[int]] = {u: [] for u in algebra.quiver.vertices}
-    for bi in indices:
-        per_vertex[algebra.basis[bi].target].append(bi)
-    pos_in_vertex = {bi: per_vertex[algebra.basis[bi].target].index(bi) for bi in indices}
-    dims = {u: len(per_vertex[u]) for u in algebra.quiver.vertices}
-    maps = {}
-    for a in algebra.quiver.arrows:
-        u, w = a.source, a.target
-        mat = field.zeros(dims[w], dims[u])
-        for bi in per_vertex[u]:
-            p = algebra.basis[bi]
-            extended = Path(p.source, a.target, p.arrows + (a.name,))
-            for bj, coeff in algebra.reduce_path(extended).items():
-                mat[pos_in_vertex[bj], pos_in_vertex[bi]] = coeff
-        maps[a.name] = mat
-    cache[("P", v)] = QModule(algebra, dims, maps)
-    return cache[("P", v)]
+
+    def build():
+        field = algebra.field
+        per_vertex = {u: algebra.basis_paths_between(v, u) for u in algebra.quiver.vertices}
+        pos_in_vertex = {bi: k for paths in per_vertex.values() for k, bi in enumerate(paths)}
+        maps = {}
+        for a in algebra.quiver.arrows:
+            u, w = a.source, a.target
+            mat = field.zeros(len(per_vertex[w]), len(per_vertex[u]))
+            for bi in per_vertex[u]:
+                p = algebra.basis[bi]
+                extended = Path(p.source, a.target, p.arrows + (a.name,))
+                for bj, coeff in algebra.reduce_path(extended).items():
+                    mat[pos_in_vertex[bj], pos_in_vertex[bi]] = coeff
+            maps[a.name] = mat
+        return QModule(algebra, {u: len(paths) for u, paths in per_vertex.items()}, maps)
+
+    return memo(algebra, "projective", v, build)
 
 
 def injective(algebra: BoundQuiverAlgebra, v: str) -> QModule:
     """I(v): the dual of the projective at v over the opposite algebra."""
     algebra.quiver.check_vertex(v)
-    cache = _std_cache(algebra)
-    if ("I", v) not in cache:
-        cache[("I", v)] = dualize(projective(algebra.opposite(), v))
-    return cache[("I", v)]
+    return memo(algebra, "injective", v, lambda: dualize(projective(algebra.opposite(), v)))
 
 
 def dualize(m: QModule) -> QModule:
@@ -494,26 +473,25 @@ def direct_sum_with_maps(
     return total, injections, projections
 
 
-def radical_submodule(m: QModule) -> tuple[QModule, QMorphism]:
-    """rad M = sum of arrow images, as a submodule with inclusion."""
+def _radical_bases(m: QModule) -> dict[str, np.ndarray]:
+    """Per vertex, a basis of the span of all incoming arrow images."""
     field = m.algebra.field
     bases = {}
     for v in m.algebra.quiver.vertices:
         incoming = [m.maps[a.name] for a in m.algebra.quiver.arrows_to[v]]
         stacked = np.hstack(incoming) if incoming else field.zeros(m.dims[v], 0)
         bases[v] = field.image_basis(stacked)
-    return submodule_from_bases(m, bases)
+    return bases
+
+
+def radical_submodule(m: QModule) -> tuple[QModule, QMorphism]:
+    """rad M = sum of arrow images, as a submodule with inclusion."""
+    return submodule_from_bases(m, _radical_bases(m))
 
 
 def top_quotient(m: QModule) -> tuple[QModule, QMorphism]:
     """top M = M / rad M with its projection."""
-    field = m.algebra.field
-    bases = {}
-    for v in m.algebra.quiver.vertices:
-        incoming = [m.maps[a.name] for a in m.algebra.quiver.arrows_to[v]]
-        stacked = np.hstack(incoming) if incoming else field.zeros(m.dims[v], 0)
-        bases[v] = field.image_basis(stacked)
-    return quotient_by_images(m, bases)
+    return quotient_by_images(m, _radical_bases(m))
 
 
 def socle_submodule(m: QModule) -> tuple[QModule, QMorphism]:
@@ -699,10 +677,10 @@ def split_summands(
         return []
     if m.algebra.field.p <= m.total_dim:
         raise FieldTooSmall(f"decomposition needs p > {m.total_dim}, have {m.algebra.field.p}")
-    cache = m.algebra.__dict__.setdefault("_split_cache", {})
-    key = (m, seed)
-    if key in cache:
-        return list(cache[key])
+    return list(memo(m.algebra, "split", (m, seed), lambda: _split_summands_compute(m, seed)))
+
+
+def _split_summands_compute(m: QModule, seed: int) -> tuple[tuple[QModule, QMorphism, QMorphism], ...]:
     result = []
     stack = [(m, identity_morphism(m), identity_morphism(m))]
     while stack:
@@ -716,8 +694,7 @@ def split_summands(
         for piece, p_incl, p_proj in split:
             stack.append((piece, incl.compose(p_incl), p_proj.compose(proj)))
     result.sort(key=lambda t: (-t[0].total_dim, t[0].dim_vector()))
-    cache[key] = tuple(result)
-    return result
+    return tuple(result)
 
 
 def _split_module_once(m: QModule, seed: int) -> list[tuple[QModule, QMorphism, QMorphism]] | None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import homology as hgy
-from .algebra import BoundQuiverAlgebra, Path, Quiver
+from .algebra import BoundQuiverAlgebra, Path, Quiver, memo
 from .errors import AlgebraMismatch, NotTriangular
 from .modcat import QModule, QMorphism, quotient_by_images, simple
 
@@ -73,14 +73,7 @@ class Recollement:
             for i, p in enumerate(total.basis)
             if p.source in self.c_vertices and p.target in self.a_vertices
         ]
-        self.exactness = {
-            "i_star": True,  # extension by zero is vertex-wise exact
-            "j_star": True,
-            "i_shriek": True,  # block restrictions likewise
-            "j_upper_star": True,
-            "j_lower_shriek": self._j_shriek_exact(),
-            "i_upper_star": self._i_upper_star_exact(),
-        }
+        self.exactness = verify_exactness(self)
 
     def _restrict(self, vertices: tuple[str, ...], name: str) -> BoundQuiverAlgebra:
         keep = set(vertices)
@@ -145,13 +138,6 @@ class Recollement:
             {v: f.blocks[v] for v in self.c_vertices},
         )
 
-    def _memo(self, functor: str, m: QModule, build):
-        cache = self.__dict__.setdefault("_functor_cache", {})
-        key = (functor, m)
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
-
     def i_shriek(self, m: QModule) -> QModule:
         """Restriction to the a-block (right adjoint of i_*); always exact."""
         self._expect_total(m)
@@ -161,7 +147,7 @@ class Recollement:
             maps = {a.name: m.maps[a.name] for a in self.a_algebra.quiver.arrows}
             return QModule(self.a_algebra, dims, maps)
 
-        return self._memo("i_shriek", m, build)
+        return memo(self, "i_shriek", m, build)
 
     def i_shriek_mor(self, f: QMorphism) -> QMorphism:
         return QMorphism(
@@ -179,7 +165,7 @@ class Recollement:
             maps = {a.name: m.maps[a.name] for a in self.c_algebra.quiver.arrows}
             return QModule(self.c_algebra, dims, maps)
 
-        return self._memo("j_upper_star", m, build)
+        return memo(self, "j_upper_star", m, build)
 
     def j_upper_star_mor(self, f: QMorphism) -> QMorphism:
         return QMorphism(
@@ -221,7 +207,7 @@ class Recollement:
             spans = self._connecting_span(m)
             return quotient_by_images(restricted, spans)
 
-        return self._memo("i_upper_star", m, build)
+        return memo(self, "i_upper_star", m, build)
 
     def i_upper_star(self, m: QModule) -> QModule:
         return self.i_upper_star_with_proj(m)[0]
@@ -300,7 +286,7 @@ class Recollement:
     def _tensor_module(self, y: QModule) -> tuple[QModule, dict]:
         if y.algebra is not self.c_algebra:
             raise AlgebraMismatch("tensor expects a module over the c-side algebra")
-        return self._memo("tensor", y, lambda: self._tensor_module_build(y))
+        return memo(self, "tensor", y, lambda: self._tensor_module_build(y))
 
     def _tensor_module_build(self, y: QModule) -> tuple[QModule, dict]:
         field = self.total.field
@@ -324,7 +310,7 @@ class Recollement:
 
     def j_lower_shriek(self, y: QModule) -> QModule:
         """(tensor y | y) with identity structure map."""
-        return self._memo("j_lower_shriek", y, lambda: self._j_lower_shriek_build(y))
+        return memo(self, "j_lower_shriek", y, lambda: self._j_lower_shriek_build(y))
 
     def _j_lower_shriek_build(self, y: QModule) -> QModule:
         tensor, layout = self._tensor_module(y)
@@ -486,15 +472,15 @@ def _certify(first: QMorphism, second: QMorphism) -> CanonicalSequence:
 
 
 def verify_exactness(rec: Recollement) -> dict[str, bool]:
-    """Recompute the exactness certificates from scratch.
+    """Recompute the exactness certificates.
 
-    Must agree with the certificates stored at build time; exposed so a
+    The constructor stores this result as ``rec.exactness``; exposed so a
     caller can re-run the derived-functor checks independently.
     """
     return {
-        "i_star": True,
+        "i_star": True,  # extension by zero is vertex-wise exact
         "j_star": True,
-        "i_shriek": True,
+        "i_shriek": True,  # block restrictions likewise
         "j_upper_star": True,
         "j_lower_shriek": rec._j_shriek_exact(),
         "i_upper_star": rec._i_upper_star_exact(),

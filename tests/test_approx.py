@@ -81,6 +81,7 @@ def test_minimal_right_approximation_drops_redundancy(a2):
 def test_minimal_left_approximation_dual(a2):
     s1 = simple(a2, "1")
     f = minimal_left_approximation(s1, [projective(a2, "1"), simple(a2, "2")])
+    assert f.source is s1
     # Hom(S(1), P(1)) = 0 and Hom(S(1), S(2)) = 0: the approximation is zero
     assert f.target.is_zero()
 

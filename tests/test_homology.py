@@ -153,6 +153,11 @@ def test_pd_id_gldim(a2, bound_a3):
     assert hgy.global_dimension(a2) == 1
     assert hgy.injdim(simple(bound_a3, "5")) == 2
     assert hgy.injdim(simple(a2, "1")) == 0
+    # cap boundary: pd S(3) = id S(5) = 2 is reported at cap 2, not at cap 1
+    assert hgy.pd(simple(bound_a3, "3"), cap=2) == 2
+    assert hgy.pd(simple(bound_a3, "3"), cap=1) is None
+    assert hgy.injdim(simple(bound_a3, "5"), cap=2) == 2
+    assert hgy.injdim(simple(bound_a3, "5"), cap=1) is None
 
 
 def test_pd_cap_returns_none():
@@ -189,6 +194,8 @@ def test_injective_resolution_dual_route(bound_a3):
     s5 = simple(bound_a3, "5")
     res = hgy.injective_resolution(s5, 3)
     assert res.kind == "injective"
+    assert res.augmentation.source is s5
+    assert hgy.injective_envelope(s5).source is s5
     assert [t.dim_vector() for t in res.terms[:3]] == [(0, 1, 1), (1, 1, 0), (1, 0, 0)]
     assert res.augmentation.is_injective()
     assert res.differentials[0].compose(res.augmentation).is_zero()

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quiverglue import PrimeField, QModule, Quiver, build_algebra
+from quiverglue import PrimeField, QModule, Quiver, build_algebra, relation
+from quiverglue import homology as hgy
 from quiverglue.errors import AlgebraMismatch, FieldTooSmall, UniverseInconsistent
 from quiverglue.modcat import (
     Universe,
@@ -86,9 +87,45 @@ def test_dualize_involution_and_hom(bound_a3):
         m = projective(bound_a3, v)
         dd = dualize(dualize(m))
         assert dd.equal_presentation(m)
+        assert dd is m
         assert dualize(simple(bound_a3, v)).dim_vector() == simple(bound_a3, v).dim_vector()
     m, n = projective(bound_a3, "3"), simple(bound_a3, "4")
     assert hom_dim(m, n) == hom_dim(dualize(n), dualize(m))
+
+
+def test_memo_contract():
+    def build():
+        quiver = Quiver(["3", "4", "5"], [("a", "3", "4"), ("b", "4", "5")])
+        rels = [relation(quiver, [(1, ["a", "b"])])]
+        return build_algebra(quiver, rels, field=PrimeField(101), name="ba3")
+
+    first = build()
+    p3, s4 = projective(first, "3"), simple(first, "4")
+    assert projective(first, "3") is p3
+    basis = hom_basis(p3, p3)
+    expected = list(basis)
+    basis.clear()
+    assert hom_basis(p3, p3) == expected
+    m = direct_sum(first, [p3, s4])
+    parts = split_summands(m)
+    expected = list(parts)
+    parts.clear()
+    assert split_summands(m) == expected
+    assert hgy.ext(simple(first, "3"), s4, 1) is hgy.ext(simple(first, "3"), s4, 1)
+
+    # a rebuilt algebra starts cold: no cached object is shared
+    second = build()
+    hom_basis(projective(second, "3"), projective(second, "3"))
+    split_summands(direct_sum(second, [projective(second, "3"), simple(second, "4")]))
+    hgy.ext(simple(second, "3"), simple(second, "4"), 1)
+    assert projective(second, "3") is not p3
+
+    def cached(algebra):
+        # an empty hom basis is the () singleton, equal in every table
+        return {id(v) for table in algebra._memo.values() for v in table.values() if v != ()}
+
+    assert cached(first) and cached(second)
+    assert not cached(first) & cached(second)
 
 
 def test_dualize_morphism_contravariant(a2):

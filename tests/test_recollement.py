@@ -14,7 +14,7 @@ from quiverglue.modcat import (
     projective,
     simple,
 )
-from quiverglue.recollement import build_recollement
+from quiverglue.recollement import build_recollement, verify_exactness
 
 
 def test_corner_algebras(rec):
@@ -65,6 +65,7 @@ def test_exactness_certificates(rec):
         "j_lower_shriek": True,
         "i_upper_star": False,
     }
+    assert verify_exactness(rec) == rec.exactness
 
 
 def test_j_shriek_can_fail_exactness():
@@ -77,6 +78,7 @@ def test_j_shriek_can_fail_exactness():
     rec = build_recollement(algebra, ["1"])
     assert rec.exactness["j_lower_shriek"] is False
     assert rec.exactness["i_shriek"] is True
+    assert verify_exactness(rec) == rec.exactness
 
 
 def test_natural_isos_prop(rec, univ_a, univ_c):
