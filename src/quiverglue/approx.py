@@ -25,6 +25,7 @@ from .errors import KernelNotInV, NotSurjective, NotTilting, PreconditionFailed
 from .modcat import (
     QModule,
     QMorphism,
+    _EndData,
     cokernel,
     decompose,
     direct_sum_with_maps,
@@ -152,16 +153,13 @@ def _right_minimize(f: QMorphism, seed: int = 0xC0FFEE) -> QMorphism:
         u0 = f.source
         if u0.total_dim == 0:
             return f
-        end = hom_basis(u0, u0)
+        end = _EndData(u0)
         # the errant directions: psi with f o psi = 0
-        end_vecs = np.stack([e.to_vector() for e in end], axis=1)
-        comp_vecs = np.stack([f.compose(e).to_vector() for e in end], axis=1)
+        comp_vecs = np.stack([f.compose(e).to_vector() for e in end.basis], axis=1)
         null = field.kernel_basis(comp_vecs)
         if null.shape[1] == 0:
             return f
-        from .modcat import _EndData
-
-        rad = _EndData(u0).radical_coords()
+        rad = end.radical_coords()
         if field.rank(np.hstack([rad, null])) == field.rank(rad):
             return f  # every errant direction is radical: f is right-minimal
 
@@ -174,25 +172,19 @@ def _right_minimize(f: QMorphism, seed: int = 0xC0FFEE) -> QMorphism:
                 coords = directions[trial]
             else:
                 mix = rng.integers(0, field.p, size=null.shape[1])
-                coords = np.mod(null @ mix, field.p)
+                coords = field.matmul(null, mix.reshape(-1, 1))[:, 0]
             trial += 1
-            w = zero_morphism(u0, u0)
-            for k, e in enumerate(end):
-                c = int(coords[k])
-                if c % field.p:
-                    w = w.add(e.scale(c))
+            w = end.from_coords(coords)
             if w.is_zero():
                 continue
             for t in _det_line_roots(field, w):
-                cand = identity_morphism(u0).add(w.scale(t))
-                if not cand.is_isomorphism():
+                cand = field.add(end.one, field.scale(t, coords))
+                if not end.from_coords(cand).is_isomorphism():
                     phi = cand
                     break
             if trial > len(directions) + 4096:
                 raise RuntimeError("non-invertible correction not found")
-        from .modcat import _endo_power
-
-        stable = _endo_power(field, phi, u0.total_dim)
+        stable = end.from_coords(end.power(phi.reshape(-1, 1), u0.total_dim))
         _, incl = image(stable)
         f = f.compose(incl)
 

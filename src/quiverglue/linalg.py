@@ -5,18 +5,23 @@ representatives ``0..p-1``.  All routines are deterministic: elimination
 always picks the first nonzero pivot, so reduced forms, kernel bases and
 image bases depend only on the input, never on a seed.
 
-Entry bounds stay far from overflow: with p <= 32003 a product of two
-canonical entries is below 2**31 and row operations accumulate at most
-``cols`` such products, well inside int64 range.
+Entries never overflow int64.  A product of two canonical entries is at
+most (p-1)**2, so ``PrimeField`` rejects every p with (p-1)**2 above
+2**63 - 1.  ``matmul`` sums k such products before reducing, so it
+raises ``PreconditionFailed`` for an inner dimension k with k * (p-1)**2
+above 2**63 - 1 (at p = 32003, k may reach about 9 * 10**9).
+Elimination reduces after every row operation, so it needs only the
+first bound.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import PreconditionFailed, ShapeMismatch
 
 DEFAULT_PRIME = 101
+INT64_MAX = 2**63 - 1
 
 
 def is_prime(n: int) -> bool:
@@ -36,7 +41,11 @@ class PrimeField:
     def __init__(self, p: int = DEFAULT_PRIME):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
+        if (p - 1) ** 2 > INT64_MAX:
+            raise PreconditionFailed(f"modulus {p} is too large: (p-1)^2 exceeds the int64 range")
         self.p = p
+        # the longest inner dimension whose matmul sums stay below 2**63
+        self.max_inner = INT64_MAX // (p - 1) ** 2
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
@@ -78,7 +87,12 @@ class PrimeField:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.shape[1] != b.shape[0]:
             raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-        return np.mod(a @ b, self.p)
+        if a.shape[1] > self.max_inner:
+            raise PreconditionFailed(
+                f"inner dimension {a.shape[1]} overflows int64 at p={self.p} (at most {self.max_inner})"
+            )
+        out = a @ b
+        return np.mod(out, self.p, out=out)
 
     def inv_scalar(self, a: int) -> int:
         a = int(a) % self.p
@@ -193,5 +207,6 @@ class PrimeField:
             inv = self.inv_scalar(a[col, col])
             for row in range(col + 1, n):
                 if a[row, col]:
-                    a[row] = np.mod(a[row] - inv * a[row, col] * a[col], self.p)
+                    factor = inv * int(a[row, col]) % self.p
+                    a[row] = np.mod(a[row] - factor * a[col], self.p)
         return det

@@ -15,11 +15,22 @@ field characteristic exceeds the total dimension), the semisimple
 quotient is split along its center deterministically, and only isotypic
 blocks fall back to a seeded search for a splitting element.  The
 multiset of summands is seed-independent by Krull-Schmidt.
+
+End(M) is built once per splitting step as a certified table of
+structure constants T[k, i, j] (the b_k-coordinate of b_i o b_j): all
+products of basis elements are formed in one contraction per vertex and
+mapped to coordinates by one left inverse of the basis matrix, and the
+batch is certified by mapping the coordinates back.  The trace form, the
+center of the semisimple quotient and the Frobenius map z -> z^p are
+then computed on coordinates.  A morphism is built (and validated) only
+where one leaves the algebra: the element a split runs along.  The End
+basis is not memoized, since it serves only the transient step.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 
@@ -634,34 +645,85 @@ def _split_along(m: QModule, f: QMorphism) -> list[tuple[QModule, QMorphism, QMo
 
 
 class _EndData:
-    """Coordinates for End(M): radical, semisimple quotient, center."""
+    """End(M) in the coordinates of one basis, with its structure constants.
+
+    Basis blocks are kept as one stack (n, d_v, d_v) per vertex.  A left
+    inverse of the basis matrix turns vectors into coordinates, and every
+    coordinate vector is certified by mapping it back.  The basis is not
+    memoized: it only serves this transient object.
+    """
 
     def __init__(self, m: QModule):
         self.module = m
-        self.field = m.algebra.field
-        self.basis = hom_basis(m, m)
-        self.vecs = np.stack([f.to_vector() for f in self.basis], axis=1)
+        self.field = field = m.algebra.field
+        self.basis = _hom_basis_compute(m, m)
+        n = len(self.basis)
+        self.stacks = {v: np.stack([b.blocks[v] for b in self.basis]) for v in m.algebra.quiver.vertices}
+        self.vecs = np.concatenate([s.reshape(n, -1) for s in self.stacks.values()], axis=1).T
+        # rref([vecs^T | I]) = [E vecs^T | E]: E inverts the pivot rows of vecs
+        r, pivots, _ = field.rref(np.hstack([self.vecs.T, field.identity(n)]))
+        self.left = field.zeros(n, self.vecs.shape[0])
+        self.left[:, pivots] = r[:, self.vecs.shape[0] :].T
 
-    def coords(self, f: QMorphism) -> np.ndarray:
-        sol = self.field.solve_matrix(self.vecs, f.to_vector().reshape(-1, 1))
-        if sol is None:
+    def coords_many(self, vecs: np.ndarray) -> np.ndarray:
+        """Coordinates of the columns of ``vecs`` (flattened endomorphisms)."""
+        c = self.field.matmul(self.left, vecs)
+        if not np.array_equal(self.field.matmul(self.vecs, c), vecs):
             raise RuntimeError("endomorphism outside End basis span")
-        return sol[:, 0]
+        return c
 
     def from_coords(self, c: np.ndarray) -> QMorphism:
-        f = zero_morphism(self.module, self.module)
-        for i, b in enumerate(self.basis):
-            if int(c[i]) % self.field.p:
-                f = f.add(b.scale(int(c[i])))
-        return f
+        """The endomorphism with coordinates ``c``, validated like any other."""
+        n = len(self.basis)
+        blocks = {
+            v: self.field.matmul(c.reshape(1, n), s.reshape(n, -1)).reshape(s.shape[1:])
+            for v, s in self.stacks.items()
+        }
+        return QMorphism(self.module, self.module, blocks)
 
     def radical_coords(self) -> np.ndarray:
+        """The radical as the kernel of the trace form tr(b_i b_j)."""
         n = len(self.basis)
-        gram = self.field.zeros(n, n)
-        for i, bi in enumerate(self.basis):
-            for j, bj in enumerate(self.basis):
-                gram[i, j] = bi.compose(bj).trace()
-        return self.field.kernel_basis(gram)
+        flipped = np.concatenate([s.transpose(0, 2, 1).reshape(n, -1) for s in self.stacks.values()], axis=1)
+        return self.field.kernel_basis(self.field.matmul(self.vecs.T, flipped.T))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """T[k, i, j]: the coordinate at b_k of the product b_i o b_j."""
+        field, n = self.field, len(self.basis)
+        products = np.empty((self.vecs.shape[0], n * n), dtype=np.int64)
+        row = 0
+        for s in self.stacks.values():
+            d = s.shape[1]
+            # rows (i, a) times columns (j, c): entry (a, c) of b_i @ b_j
+            prod = field.matmul(s.reshape(n * d, d), s.transpose(1, 0, 2).reshape(d, n * d))
+            products[row : row + d * d] = prod.reshape(n, d, n, d).transpose(1, 3, 0, 2).reshape(d * d, n * n)
+            row += d * d
+        return self.coords_many(products).reshape(n, n, n)
+
+    @cached_property
+    def one(self) -> np.ndarray:
+        """Coordinates of the identity."""
+        ident = np.concatenate([np.eye(s.shape[1], dtype=np.int64).reshape(-1) for s in self.stacks.values()])
+        return self.coords_many(ident.reshape(-1, 1))[:, 0]
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Column c: the coordinates of the product (a[:, c]) o (b[:, c])."""
+        n = len(self.basis)
+        by_b = self.field.matmul(self.table.reshape(n * n, n), b).reshape(n, n, -1)
+        # each entry sums n products of two residues: within the bound the
+        # matmul above has just checked for inner dimension n
+        return np.mod(np.einsum("kic,ic->kc", by_b, a), self.field.p)
+
+    def power(self, a: np.ndarray, exponent: int) -> np.ndarray:
+        """Column c: the coordinates of (a[:, c])^exponent, by square and multiply."""
+        result, base = np.repeat(self.one.reshape(-1, 1), a.shape[1], axis=1), a
+        while exponent:
+            if exponent & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            exponent >>= 1
+        return result
 
 
 def split_summands(
@@ -716,38 +778,25 @@ def _split_module_once(m: QModule, seed: int) -> list[tuple[QModule, QMorphism, 
     to_s = inv[r:, :]
     section = full[:, r:]
 
-    def mul_s(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        fx = end.from_coords(field.matmul(section, x.reshape(-1, 1))[:, 0])
-        fy = end.from_coords(field.matmul(section, y.reshape(-1, 1))[:, 0])
-        return field.matmul(to_s, end.coords(fx.compose(fy)).reshape(-1, 1))[:, 0]
-
-    s_basis = [field.identity(s_dim)[:, i] for i in range(s_dim)]
-    # center of S: [z, b] = 0 for all basis b
-    constraint_rows = []
-    for b in s_basis:
-        left = np.stack([mul_s(e, b) for e in s_basis], axis=1)
-        right = np.stack([mul_s(b, e) for e in s_basis], axis=1)
-        constraint_rows.append(field.sub(left, right))
-    center = field.kernel_basis(np.vstack(constraint_rows))
+    # structure constants of S: ts[k, i, j] = to_s(section e_i o section e_j)
+    ts = field.matmul(end.table.reshape(n_end * n_end, n_end), section).reshape(n_end, n_end, s_dim)
+    ts = field.matmul(ts.transpose(0, 2, 1).reshape(n_end * s_dim, n_end), section)
+    ts = field.matmul(to_s, ts.reshape(n_end, s_dim * s_dim)).reshape(s_dim, s_dim, s_dim).transpose(0, 2, 1)
+    # center of S: [z, e_j] = 0 for all j, one block of rows per j
+    commutators = field.sub(ts, ts.transpose(0, 2, 1))
+    center = field.kernel_basis(commutators.transpose(2, 0, 1).reshape(s_dim * s_dim, s_dim))
     z_dim = center.shape[1]
 
     # Frobenius on the center: z -> z^p, F_p-linear on a commutative algebra
-    frob_cols = []
-    for i in range(z_dim):
-        z = center[:, i]
-        endo = end.from_coords(field.matmul(section, z.reshape(-1, 1))[:, 0])
-        powered = _endo_power(field, endo, field.p)
-        s_coords = field.matmul(to_s, end.coords(powered).reshape(-1, 1))
-        w = field.solve_matrix(center, s_coords)
-        if w is None:
-            raise RuntimeError("center is not Frobenius-stable")
-        frob_cols.append(w[:, 0])
-    frob = np.stack(frob_cols, axis=1)
+    lifted = field.matmul(section, center)
+    frob = field.solve_matrix(center, field.matmul(to_s, end.power(lifted, field.p)))
+    if frob is None:
+        raise RuntimeError("center is not Frobenius-stable")
     berlekamp = field.kernel_basis(field.sub(frob, field.identity(z_dim)))
 
     if berlekamp.shape[1] >= 2:
         # deterministic split along a non-scalar element of the fixed field
-        id_s = field.matmul(to_s, end.coords(identity_morphism(m)).reshape(-1, 1))
+        id_s = field.matmul(to_s, end.one.reshape(-1, 1))
         id_z = field.solve_matrix(center, id_s)[:, 0]
         chosen = None
         for i in range(berlekamp.shape[1]):
@@ -757,7 +806,7 @@ def _split_module_once(m: QModule, seed: int) -> list[tuple[QModule, QMorphism, 
                 break
         if chosen is None:
             raise RuntimeError("Berlekamp subalgebra collapsed onto scalars")
-        lift = end.from_coords(field.matmul(section, field.matmul(center, chosen.reshape(-1, 1)))[:, 0])
+        lift = end.from_coords(field.matmul(lifted, chosen.reshape(-1, 1)))
         split = _split_along(m, lift)
         if split is None:
             raise RuntimeError("central element with split spectrum failed to split")
@@ -782,18 +831,6 @@ def _split_module_once(m: QModule, seed: int) -> list[tuple[QModule, QMorphism, 
         if split is not None:
             return split
     raise RuntimeError("isotypic split not found; raise the trial bound")
-
-
-def _endo_power(field, f: QMorphism, exponent: int) -> QMorphism:
-    result = identity_morphism(f.source)
-    base = f
-    e = exponent
-    while e:
-        if e & 1:
-            result = result.compose(base)
-        base = base.compose(base)
-        e >>= 1
-    return result
 
 
 def decompose(m: QModule, seed: int = DEFAULT_SEED) -> list[tuple[QModule, int]]:

@@ -173,3 +173,10 @@ def test_glue_tilting_command(capsys, tmp_path):
 def test_seed_flag_parses_hex(capsys):
     code, _, _ = run(capsys, "--seed", "0xC0FFEE", "check-algebra", str(DATA / "lambda.alg"))
     assert code == 0
+
+
+def test_prime_too_large_is_a_precondition_failure(capsys):
+    # residue products would overflow int64; the run must refuse, not miscompute
+    code, _, err = run(capsys, "--prime", "4294967311", "reproduce", "5-2")
+    assert code == 4
+    assert "precondition failure" in err

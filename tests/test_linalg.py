@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quiverglue.errors import ShapeMismatch
+from quiverglue.errors import PreconditionFailed, ShapeMismatch
 from quiverglue.linalg import PrimeField
 
 
@@ -113,3 +113,31 @@ def test_det_and_inverse(f101):
     singular = f101.mat([[1, 2], [2, 4]])
     assert f101.det(singular) == 0
     assert f101.inverse(singular) is None
+
+
+def test_prime_guard_rejects_overflowing_modulus():
+    # (p-1)^2 exceeds 2^63-1: not even one product of residues fits in int64
+    with pytest.raises(PreconditionFailed):
+        PrimeField(4294967311)
+
+
+def test_matmul_guard_bounds_inner_dimension():
+    # (p-1)^2 fits in int64 here but 2 (p-1)^2 does not
+    p = 2147483659
+    field = PrimeField(p)
+    assert field.max_inner == 1
+    assert field.matmul(field.mat([[p - 1]]), field.mat([[p - 1]]))[0, 0] == 1
+    with pytest.raises(PreconditionFailed):
+        field.matmul(field.mat([[p - 1, p - 1]]), field.mat([[p - 1], [p - 1]]))
+    # far below the bound, long sums stay exact
+    f = PrimeField(32003)
+    row = np.full((1, 5000), 32002, dtype=np.int64)
+    assert f.matmul(row, row.T)[0, 0] == 5000 % 32003
+
+
+def test_det_exact_near_the_prime_bound():
+    # elimination must not form a product of three residues
+    p = 2147483659
+    field = PrimeField(p)
+    m = field.mat([[p - 1, p - 2], [p - 3, p - 1]])
+    assert field.det(m) == ((p - 1) ** 2 - (p - 2) * (p - 3)) % p

@@ -7,9 +7,11 @@ import pytest
 
 from quiverglue import PrimeField, QModule, Quiver, build_algebra, relation
 from quiverglue import homology as hgy
+from quiverglue import modcat
 from quiverglue.errors import AlgebraMismatch, FieldTooSmall, UniverseInconsistent
 from quiverglue.modcat import (
     Universe,
+    _EndData,
     cokernel,
     decompose,
     direct_sum,
@@ -252,3 +254,114 @@ def test_top_and_socle(a2):
     soc, _ = socle_submodule(p1)
     assert top.dim_vector() == (1, 0)
     assert soc.dim_vector() == (0, 1)
+
+
+# -- the End(M) kernel -------------------------------------------------------
+
+
+def a7_interval_sum(parts, seed):
+    """A fresh path algebra A7 (1 -> ... -> 7) and the sum of the given
+    intervals [i, j] (0-based positions), conjugated per vertex by a
+    random invertible matrix."""
+    vertices = [str(v) for v in range(1, 8)]
+    quiver = Quiver(vertices, [(f"a{v}", v, w) for v, w in zip(vertices, vertices[1:])])
+    algebra = build_algebra(quiver, [], field=PrimeField(101), name="A7")
+    field = algebra.field
+    rng = np.random.default_rng(seed)
+    dims = {v: sum(i <= k <= j for i, j in parts) for k, v in enumerate(vertices)}
+    change = {}
+    for v in vertices:
+        inv = None
+        while inv is None:
+            g = field.mat(rng.integers(0, field.p, size=(dims[v], dims[v])))
+            inv = field.inverse(g)
+        change[v] = (g, inv)
+    maps = {}
+    for k, (s, t) in enumerate(zip(vertices, vertices[1:])):
+        std = field.zeros(dims[t], dims[s])
+        row = col = 0
+        for i, j in parts:
+            at_s, at_t = i <= k <= j, i <= k + 1 <= j
+            if at_s and at_t:
+                std[row, col] = 1
+            col += at_s
+            row += at_t
+        maps[f"a{s}"] = field.matmul(field.matmul(change[t][0], std), change[s][1])
+    return QModule(algebra, dims, maps)
+
+
+@pytest.fixture(scope="module")
+def end_modules(workspace):
+    universe = workspace.universe_b
+    total = workspace.recollement.total
+    return [
+        direct_sum(
+            total,
+            [universe.module("(P(1)|P(3))"), universe.module("(S(2)|0)"), universe.module("(S(2)|0)")],
+        ),
+        direct_sum(total, [universe.module("(S(1)|0)"), universe.module("(0|S(3))")]),
+        a7_interval_sum([(0, 2), (0, 2), (1, 4), (3, 6), (2, 2)], seed=3),
+    ]
+
+
+def test_end_table_matches_product_solves(end_modules):
+    for m in end_modules:
+        field = m.algebra.field
+        end = _EndData(m)
+        for i, bi in enumerate(end.basis):
+            for j, bj in enumerate(end.basis):
+                ref = field.solve_matrix(end.vecs, bi.compose(bj).to_vector().reshape(-1, 1))
+                assert np.array_equal(end.table[:, i, j], ref[:, 0])
+        assert end.from_coords(end.one).to_vector().tolist() == identity_morphism(m).to_vector().tolist()
+        # powers in coordinates agree with repeated composition
+        c = np.arange(1, len(end.basis) + 1, dtype=np.int64).reshape(-1, 1)
+        f = end.from_coords(c)
+        cubed = end.from_coords(end.power(c, 3))
+        assert np.array_equal(cubed.to_vector(), f.compose(f).compose(f).to_vector())
+
+
+def test_end_radical_is_trace_form_kernel(end_modules):
+    for m in end_modules:
+        field = m.algebra.field
+        end = _EndData(m)
+        n = len(end.basis)
+        gram = field.zeros(n, n)
+        for i, bi in enumerate(end.basis):
+            for j, bj in enumerate(end.basis):
+                gram[i, j] = bi.compose(bj).trace()
+        assert np.array_equal(end.radical_coords(), field.kernel_basis(gram))
+    assert any(_EndData(m).radical_coords().shape[1] for m in end_modules)
+
+
+def test_end_coordinates_reject_outside_span(end_modules, monkeypatch):
+    compute = modcat._hom_basis_compute
+    table_raised = 0
+    for m in end_modules:
+        field = m.algebra.field
+        full = compute(m, m)
+        for k in range(len(full)):
+            kept = full[:k] + full[k + 1 :]
+            monkeypatch.setattr(modcat, "_hom_basis_compute", lambda s, t: kept)
+            end = _EndData(m)
+            with pytest.raises(RuntimeError, match="outside End basis span"):
+                end.coords_many(full[k].to_vector().reshape(-1, 1))
+            escapes = any(
+                field.solve_matrix(end.vecs, bi.compose(bj).to_vector().reshape(-1, 1)) is None
+                for bi in kept
+                for bj in kept
+            )
+            if escapes:
+                table_raised += 1
+                with pytest.raises(RuntimeError, match="outside End basis span"):
+                    end.table
+            else:
+                assert end.table.shape == (len(kept),) * 3
+    assert table_raised
+
+
+def test_decompose_pins_no_end_basis():
+    # End bases of the pieces are transient: the hom memo keeps no (x, x) entry
+    m = a7_interval_sum([(0, 2), (0, 2), (1, 4), (3, 6), (2, 2)], seed=4)
+    parts = decompose(m)
+    assert sorted(mult for _, mult in parts) == [1, 1, 1, 2]
+    assert not [key for key in m.algebra._memo.get("hom", {}) if key[0] is key[1]]
