@@ -1,12 +1,20 @@
 """Constructive approximation theory over finite universes.
 
-Right approximations are built from all hom-basis elements, thinned
-greedily (slot by slot, in universe order) and then made right-minimal
-through the endomorphism criterion: a right approximation f is minimal
-exactly when every endomorphism psi of its source with f o psi = 0 lies
-in the radical.  When the criterion fails, a non-invertible phi with
-f o phi = f exists; Fitting along phi shrinks the source and the loop
-repeats.  Left approximations are the duals over the opposite algebra.
+The minimal right add(U)-approximation of X, for pairwise non-isomorphic
+indecomposables U_1, ..., U_r, is built directly (Auslander-Reiten-Smalo,
+Representation Theory of Artin Algebras, I.2 and IV.1): its source is the
+sum of U_i^{m_i}, and the maps out of the copies of U_i lift a basis of
+Hom(U_i, X) / rad_U(U_i, X) over k_i = End(U_i)/rad, where
+
+    rad_U(U_i, X) = sum_j Hom(U_j, X) o rad(U_i, U_j),
+
+rad(U_i, U_j) = Hom(U_i, U_j) for i != j, and rad(U_i, U_i) is the kernel
+of the trace form of End(U_i).  Walking the hom basis and adding
+phi o End(U_i) for each chosen phi builds the k_i-span for any residue
+field F_q.  Two certificates run on the result: the approximation
+property (one rank test per U_j) and right-minimality by the
+endomorphism criterion (every psi with f o psi = 0 is radical).  Left
+approximations are the duals over the opposite algebra.
 
 The preenvelope iteration for a tilting module T descends in degree:
 killing Ext^j(T, -) with a universal extension by the (j-1)-st syzygy of
@@ -25,15 +33,17 @@ from .errors import KernelNotInV, NotSurjective, NotTilting, PreconditionFailed
 from .modcat import (
     QModule,
     QMorphism,
-    _EndData,
+    _block_products,
+    _stacks,
+    _trace_pairing,
     cokernel,
     decompose,
+    direct_sum,
     direct_sum_with_maps,
     dualize,
     dualize_morphism,
     hom_basis,
     identity_morphism,
-    image,
     indecomposable_iso,
     kernel,
     zero_module,
@@ -75,140 +85,84 @@ def in_add(m: QModule, reps: list[QModule], seed: int | None = None) -> bool:
 # -- minimal approximations -------------------------------------------------
 
 
-def _greedy_slots(x: QModule, add_list: list[QModule]) -> list[tuple[QModule, QMorphism]]:
-    """Hom-basis slots thinned so the approximation property survives."""
-    field = x.algebra.field
-    slots: list[tuple[QModule, QMorphism]] = []
-    for piece in add_list:
-        for phi in hom_basis(piece, x):
-            slots.append((piece, phi))
-    if not slots:
-        return []
+def minimal_right_approximation(x: QModule, add_list: list[QModule]) -> QMorphism:
+    """The right-minimal right add(add_list)-approximation f: U0 -> x.
 
-    # pairing matrices per test object: columns grouped by slot
-    tests = []
-    for probe in add_list:
-        probe_basis = hom_basis(probe, x)
-        if not probe_basis:
-            continue
-        target_vecs = np.stack([h.to_vector() for h in probe_basis], axis=1)
-        col_groups = []
-        for piece, phi in slots:
-            comps = [phi.compose(g) for g in hom_basis(probe, piece)]
-            if comps:
-                cols = []
-                for comp in comps:
-                    sol = field.solve_matrix(target_vecs, comp.to_vector().reshape(-1, 1))
-                    if sol is None:
-                        raise RuntimeError("composite escaped the hom space")
-                    cols.append(sol[:, 0])
-                col_groups.append(np.stack(cols, axis=1))
-            else:
-                col_groups.append(field.zeros(len(probe_basis), 0))
-        tests.append((len(probe_basis), col_groups))
-
-    keep = [True] * len(slots)
-    for drop in range(len(slots)):
-        keep[drop] = False
-        ok = True
-        for full_rank, col_groups in tests:
-            stacked = [col_groups[i] for i in range(len(slots)) if keep[i]]
-            mat = np.hstack(stacked) if stacked else field.zeros(full_rank, 0)
-            if field.rank(mat) != full_rank:
-                ok = False
-                break
-        if not ok:
-            keep[drop] = True
-    return [slot for slot, k in zip(slots, keep) if k]
-
-
-def _det_line_roots(field, w: QMorphism) -> list[int]:
-    """Roots t of det(id + t*w) over F_p, via interpolation."""
-    total = w.source.total_dim
-    points = list(range(total + 1))
-    values = []
-    for t in points:
-        d = 1
-        for v, block in w.blocks.items():
-            n = block.shape[0]
-            d = (d * field.det(field.add(field.identity(n), field.scale(t, block)))) % field.p
-        values.append(d)
-    vander = field.mat([[pow(t, j, field.p) for j in range(total + 1)] for t in points])
-    coeffs = field.solve_matrix(vander, field.mat(values).reshape(-1, 1))
-    if coeffs is None:
-        raise RuntimeError("determinant interpolation failed")
-    from .modcat import _poly_roots
-
-    return _poly_roots(field, [int(c) for c in coeffs[:, 0]])
-
-
-def _right_minimize(f: QMorphism, seed: int = 0xC0FFEE) -> QMorphism:
-    """Shrink a right approximation to a right-minimal one.
-
-    Invariant kept by each Fitting step: the restriction stays a right
-    approximation of the same target.
+    Precondition: ``add_list`` holds pairwise non-isomorphic
+    indecomposables.  Both certificates run on the result, so an input
+    that breaks the precondition raises ``PreconditionFailed`` instead of
+    returning a map that is not the minimal approximation.
     """
-    field = f.source.algebra.field
-    while True:
-        u0 = f.source
-        if u0.total_dim == 0:
-            return f
-        end = _EndData(u0)
-        # the errant directions: psi with f o psi = 0
-        comp_vecs = np.stack([f.compose(e).to_vector() for e in end.basis], axis=1)
-        null = field.kernel_basis(comp_vecs)
-        if null.shape[1] == 0:
-            return f
-        rad = end.radical_coords()
-        if field.rank(np.hstack([rad, null])) == field.rank(rad):
-            return f  # every errant direction is radical: f is right-minimal
+    field = x.algebra.field
+    stacks: dict[tuple[QModule, QModule], dict[str, np.ndarray]] = {}
 
-        directions = [null[:, i] for i in range(null.shape[1])]
-        rng = np.random.default_rng(seed)
-        phi = None
-        trial = 0
-        while phi is None:
-            if trial < len(directions):
-                coords = directions[trial]
-            else:
-                mix = rng.integers(0, field.p, size=null.shape[1])
-                coords = field.matmul(null, mix.reshape(-1, 1))[:, 0]
-            trial += 1
-            w = end.from_coords(coords)
-            if w.is_zero():
-                continue
-            for t in _det_line_roots(field, w):
-                cand = field.add(end.one, field.scale(t, coords))
-                if not end.from_coords(cand).is_isomorphism():
-                    phi = cand
-                    break
-            if trial > len(directions) + 4096:
-                raise RuntimeError("non-invertible correction not found")
-        stable = end.from_coords(end.power(phi.reshape(-1, 1), u0.total_dim))
-        _, incl = image(stable)
-        f = f.compose(incl)
+    def stack(source: QModule, target: QModule) -> dict[str, np.ndarray]:
+        if (source, target) not in stacks:
+            stacks[source, target] = _stacks(source, target, hom_basis(source, target))
+        return stacks[source, target]
 
+    def size(i: int, target: QModule) -> int:
+        return next(iter(stack(add_list[i], target).values())).shape[0]
 
-def minimal_right_approximation(
-    x: QModule, add_list: list[QModule], seed: int = 0xC0FFEE
-) -> QMorphism:
-    """The right-minimal right add(add_list)-approximation U0 -> x."""
-    algebra = x.algebra
-    slots = _greedy_slots(x, add_list)
+    live = [i for i in range(len(add_list)) if size(i, x)]
+    # composites[i, j], column (phi, g): phi o g for phi in Hom(U_j, X) and
+    # g in Hom(U_i, U_j), flattened like QMorphism.to_vector
+    composites = {}
+    for i in live:
+        for j in live:
+            left, right = stack(add_list[j], x), stack(add_list[i], add_list[j])
+            composites[i, j] = np.concatenate([_block_products(field, left[v], right[v]) for v in left])
+
+    # phi_k is a slot when it leaves rad_U(U_i, X) + (earlier phi) o End(U_i);
+    # that span is End(U_i)-stable, so block k of phi_k o End(U_i) carries a
+    # pivot exactly then
+    slots: list[tuple[int, int]] = []
+    gram = {}  # the trace form of End(U_i); its kernel is the radical
+    for i in live:
+        end = stack(add_list[i], add_list[i])
+        n = size(i, add_list[i])
+        own = composites[i, i]
+        gram[i] = _trace_pairing(field, end, end)
+        rad = field.kernel_basis(gram[i])
+        own_rad = field.matmul(own.reshape(-1, n), rad).reshape(own.shape[0], -1)
+        span = np.hstack([composites[i, j] for j in live if j != i] + [own_rad, own])
+        _, pivots, _ = field.rref(span)
+        start = span.shape[1] - own.shape[1]
+        slots += [(i, k) for k in sorted({(c - start) // n for c in pivots if c >= start})]
+
+    for j in live:
+        widths = [size(j, add_list[t]) for t, _ in slots]
+        cols = [composites[j, t][:, k * w : (k + 1) * w] for (t, k), w in zip(slots, widths)]
+        probe = np.hstack(cols) if cols else field.zeros(composites[j, j].shape[0], 0)
+        null = field.kernel_basis(probe)
+        if probe.shape[1] - null.shape[1] != size(j, x):
+            raise PreconditionFailed(
+                f"maps from add_list[{j}] do not factor through the approximation; "
+                "are the members pairwise non-isomorphic indecomposables?"
+            )
+        # the psi with f o psi = 0 form a right ideal of End(U0), and null
+        # spans their columns at a copy of U_j.  Were f not right-minimal,
+        # the ideal would hold an idempotent e != 0, whose trace rank(e) lies
+        # in 1..dim U0 < p; radical diagonal blocks would make it 0
+        row = 0
+        for (t, _), w in zip(slots, widths):
+            if t == j and np.any(field.matmul(gram[j], null[row : row + w])):
+                raise PreconditionFailed(
+                    f"a non-radical endomorphism of the source kills the approximation at add_list[{j}]; "
+                    "are the members pairwise non-isomorphic indecomposables?"
+                )
+            row += w
+
     if not slots:
-        return zero_morphism(zero_module(algebra), x)
-    u0, _, projections = direct_sum_with_maps(algebra, [piece for piece, _ in slots])
-    f = zero_morphism(u0, x)
-    for (_, phi), proj in zip(slots, projections):
-        f = f.add(phi.compose(proj))
-    return _right_minimize(f, seed)
+        return zero_morphism(zero_module(x.algebra), x)
+    u0 = direct_sum(x.algebra, [add_list[i] for i, _ in slots])
+    blocks = {v: np.hstack([stack(add_list[i], x)[v][k] for i, k in slots]) for v in x.dims}
+    return QMorphism(u0, x, blocks)
 
 
-def minimal_left_approximation(
-    x: QModule, add_list: list[QModule], seed: int = 0xC0FFEE
-) -> QMorphism:
+def minimal_left_approximation(x: QModule, add_list: list[QModule]) -> QMorphism:
     """The left-minimal left add(add_list)-approximation x -> V0 (by duality)."""
-    g = minimal_right_approximation(dualize(x), [dualize(piece) for piece in add_list], seed)
+    g = minimal_right_approximation(dualize(x), [dualize(piece) for piece in add_list])
     return dualize_morphism(g)
 
 
@@ -308,7 +262,7 @@ def special_precover_universe(
     the right-orthogonal class; both that Ext certificate and membership
     of K in add(v_list) are recomputed here.
     """
-    f = minimal_right_approximation(x, u_list, seed)
+    f = minimal_right_approximation(x, u_list)
     if not f.is_surjective():
         raise NotSurjective("approximation misses part of X; are all projectives in U?")
     k, incl = kernel(f)
@@ -333,7 +287,7 @@ def special_preenvelope_universe(
     seed: int = 0xC0FFEE,
 ) -> ApproxSequence:
     """0 -> X -> V0 -> C -> 0 from the minimal left add(V)-approximation."""
-    f = minimal_left_approximation(x, v_list, seed)
+    f = minimal_left_approximation(x, v_list)
     if not f.is_injective():
         raise PreconditionFailed("left approximation is not injective; are all injectives in V?")
     c, proj = cokernel(f)
@@ -366,7 +320,7 @@ def in_T_wedge(
             return CoresolutionWitness(start=x, steps=tuple(steps), final=current)
         if depth == n:
             return None
-        f = minimal_left_approximation(current, t_reps, seed)
+        f = minimal_left_approximation(current, t_reps)
         if not f.is_injective():
             return None
         quot, proj = cokernel(f)

@@ -184,10 +184,6 @@ class PrimeField:
             return None
         return x
 
-    def is_invertible(self, m: np.ndarray) -> bool:
-        n, c = m.shape
-        return n == c and self.rank(m) == n
-
     def det(self, m: np.ndarray) -> int:
         """Determinant mod p via Gaussian elimination."""
         n, c = m.shape

@@ -30,6 +30,7 @@ basis is not memoized, since it serves only the transient step.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from functools import cached_property
 
 import numpy as np
@@ -353,19 +354,6 @@ def cokernel(f: QMorphism) -> tuple[QModule, QMorphism]:
     return quotient_by_images(f.target, bases)
 
 
-def corestriction(f: QMorphism) -> tuple[QModule, QMorphism, QMorphism]:
-    """Factor f as (I, incl: I -> target, f0: source -> I)."""
-    field = f.source.algebra.field
-    img, incl = image(f)
-    blocks = {}
-    for v in f.blocks:
-        coords = field.solve_matrix(incl.blocks[v], f.blocks[v])
-        if coords is None:
-            raise ValueError("image computation is inconsistent")
-        blocks[v] = coords
-    return img, incl, QMorphism(f.source, img, blocks)
-
-
 # -- standard modules ------------------------------------------------------
 
 
@@ -644,6 +632,40 @@ def _split_along(m: QModule, f: QMorphism) -> list[tuple[QModule, QMorphism, QMo
     return [(k, incl, proj) for (k, incl), proj in zip(pieces, projections)]
 
 
+def _stacks(source: QModule, target: QModule, morphisms: Sequence[QMorphism]) -> dict[str, np.ndarray]:
+    """Per vertex, the blocks of ``morphisms`` (source -> target) as one (n, t_v, s_v) array."""
+    vertices = source.algebra.quiver.vertices
+    if not morphisms:
+        return {v: np.zeros((0, target.dims[v], source.dims[v]), dtype=np.int64) for v in vertices}
+    return {v: np.stack([f.blocks[v] for f in morphisms]) for v in vertices}
+
+
+def _block_products(field, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row (a, c), column (i, j): entry (a, c) of left[i] @ right[j].
+
+    ``left`` (n, t, m) and ``right`` (k, m, s) are stacks of blocks at one
+    vertex; all n * k products come from one matrix product.
+    """
+    n, t, m = left.shape
+    k, _, s = right.shape
+    if not (n and t and m and k and s):
+        return np.zeros((t * s, n * k), dtype=np.int64)
+    # rows (i, a) times columns (j, c)
+    prod = field.matmul(left.reshape(n * t, m), right.transpose(1, 0, 2).reshape(m, k * s))
+    return prod.reshape(n, t, k, s).transpose(1, 3, 0, 2).reshape(t * s, n * k)
+
+
+def _trace_pairing(field, left: dict[str, np.ndarray], right: dict[str, np.ndarray]) -> np.ndarray:
+    """Entry (i, j): the trace of left[i] o right[j], for stacks of maps M -> N and N -> M."""
+
+    def flat(a: np.ndarray) -> np.ndarray:
+        return a.reshape(a.shape[0], a.shape[1] * a.shape[2])
+
+    rows = np.concatenate([flat(a) for a in left.values()], axis=1)
+    cols = np.concatenate([flat(b.transpose(0, 2, 1)) for b in right.values()], axis=1)
+    return field.matmul(rows, cols.T)
+
+
 class _EndData:
     """End(M) in the coordinates of one basis, with its structure constants.
 
@@ -658,7 +680,7 @@ class _EndData:
         self.field = field = m.algebra.field
         self.basis = _hom_basis_compute(m, m)
         n = len(self.basis)
-        self.stacks = {v: np.stack([b.blocks[v] for b in self.basis]) for v in m.algebra.quiver.vertices}
+        self.stacks = _stacks(m, m, self.basis)
         self.vecs = np.concatenate([s.reshape(n, -1) for s in self.stacks.values()], axis=1).T
         # rref([vecs^T | I]) = [E vecs^T | E]: E inverts the pivot rows of vecs
         r, pivots, _ = field.rref(np.hstack([self.vecs.T, field.identity(n)]))
@@ -683,9 +705,7 @@ class _EndData:
 
     def radical_coords(self) -> np.ndarray:
         """The radical as the kernel of the trace form tr(b_i b_j)."""
-        n = len(self.basis)
-        flipped = np.concatenate([s.transpose(0, 2, 1).reshape(n, -1) for s in self.stacks.values()], axis=1)
-        return self.field.kernel_basis(self.field.matmul(self.vecs.T, flipped.T))
+        return self.field.kernel_basis(_trace_pairing(self.field, self.stacks, self.stacks))
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -695,9 +715,7 @@ class _EndData:
         row = 0
         for s in self.stacks.values():
             d = s.shape[1]
-            # rows (i, a) times columns (j, c): entry (a, c) of b_i @ b_j
-            prod = field.matmul(s.reshape(n * d, d), s.transpose(1, 0, 2).reshape(d, n * d))
-            products[row : row + d * d] = prod.reshape(n, d, n, d).transpose(1, 3, 0, 2).reshape(d * d, n * n)
+            products[row : row + d * d] = _block_products(field, s, s)
             row += d * d
         return self.coords_many(products).reshape(n, n, n)
 

@@ -279,10 +279,6 @@ class Recollement:
             dims[v] = proj[v].shape[0]
         return gens, gen_pos, proj, section, dims
 
-    def tensor_with_bimodule(self, y: QModule) -> QModule:
-        """The a-side module (bimodule (x)_c y); no connecting data."""
-        return self._tensor_module(y)[0]
-
     def _tensor_module(self, y: QModule) -> tuple[QModule, dict]:
         if y.algebra is not self.c_algebra:
             raise AlgebraMismatch("tensor expects a module over the c-side algebra")
@@ -401,14 +397,6 @@ class Recollement:
         target = self.i_star(quot)
         blocks = {v: proj.blocks[v] for v in self.a_vertices}
         return QMorphism(m, target, blocks)
-
-    def canonical_j_to_jstar(self, y: QModule) -> QMorphism:
-        """The natural map j_! y -> j_* y (identity on the c-block)."""
-        field = self.total.field
-        source = self.j_lower_shriek(y)
-        target = self.j_star(y)
-        blocks = {v: field.identity(y.dims[v]) for v in self.c_vertices}
-        return QMorphism(source, target, blocks)
 
     def canonical_sequence_upper(self, m: QModule) -> CanonicalSequence:
         """0 -> i_* i^! m -> m -> j_* j^* m with certified exactness."""

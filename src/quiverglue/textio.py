@@ -183,6 +183,9 @@ def parse_module(text: str, algebra: BoundQuiverAlgebra) -> tuple[str, QModule]:
                 raise ParseError(f"bad matrix literal: {exc}", lineno) from None
             if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
                 raise ParseError("matrix must be a list of rows", lineno)
+            bad = [x for r in data for x in r if type(x) is not int]
+            if bad:
+                raise ParseError(f"matrix entry {bad[0]!r} is not an integer", lineno)
             maps[parts[1]] = data
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno)
@@ -240,10 +243,3 @@ def parse_universe(manifest_path: str | FsPath, algebra: BoundQuiverAlgebra) -> 
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
     return Universe(algebra, members)
-
-
-def print_universe_manifest(algebra_name: str, entries: list[tuple[str, str]]) -> str:
-    lines = [f"universe over {algebra_name}"]
-    for display, rel in entries:
-        lines.append(f"member {display} {rel}")
-    return "\n".join(lines) + "\n"

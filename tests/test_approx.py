@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from quiverglue import Quiver, build_algebra
 from quiverglue import homology as hgy
 from quiverglue.approx import (
     in_T_covee,
@@ -16,10 +17,12 @@ from quiverglue.approx import (
     special_preenvelope_universe,
     universal_extension,
 )
-from quiverglue.errors import NotSurjective, NotTilting
+from quiverglue.errors import NotSurjective, NotTilting, PreconditionFailed
 from quiverglue.modcat import (
+    QModule,
     decompose,
     direct_sum,
+    hom_basis,
     injective,
     is_isomorphic,
     projective,
@@ -84,6 +87,68 @@ def test_minimal_left_approximation_dual(a2):
     assert f.source is s1
     # Hom(S(1), P(1)) = 0 and Hom(S(1), S(2)) = 0: the approximation is zero
     assert f.target.is_zero()
+
+
+@pytest.mark.parametrize("side", ["a", "c", "b"])
+def test_minimal_approximations_by_projectives_and_injectives(univ_a, univ_c, univ_b, side):
+    # the oracles come from tops and socles, not from approximation code
+    universe = {"a": univ_a, "c": univ_c, "b": univ_b}[side]
+    algebra = universe.algebra
+    projectives = [projective(algebra, v) for v in algebra.quiver.vertices]
+    injectives = [injective(algebra, v) for v in algebra.quiver.vertices]
+    for x in universe.modules():
+        f = minimal_right_approximation(x, projectives)
+        assert f.is_surjective()
+        assert f.source.dim_vector() == hgy.projective_cover(x).source.dim_vector()
+        g = minimal_left_approximation(x, injectives)
+        assert g.is_injective()
+        assert g.target.dim_vector() == hgy.injective_envelope(x).target.dim_vector()
+
+
+@pytest.mark.parametrize("side", ["a", "c", "b"])
+def test_minimal_approximation_of_a_member_of_add_is_an_isomorphism(univ_a, univ_c, univ_b, side):
+    universe = {"a": univ_a, "c": univ_c, "b": univ_b}[side]
+    mods = universe.modules()
+    for i, m in enumerate(mods):
+        x = direct_sum(universe.algebra, [m, mods[(i + 1) % len(mods)], m])
+        f = minimal_right_approximation(x, mods)
+        assert f.is_isomorphism()
+
+
+@pytest.fixture(scope="module")
+def kronecker_regular(field):
+    """The Kronecker module k^2 with arrows I and the companion matrix of t^2 - 2.
+
+    t^2 - 2 is irreducible over F_101, so End(U) = F_101[t]/(t^2 - 2) = F_{101^2}.
+    """
+    quiver = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    algebra = build_algebra(quiver, [], field=field, name="kronecker")
+    return QModule(algebra, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, 2], [1, 0]]})
+
+
+def test_minimal_approximation_counts_copies_over_the_residue_field(kronecker_regular):
+    u = kronecker_regular
+    assert len(decompose(u)) == 1 and len(hom_basis(u, u)) == 2
+    x = direct_sum(u.algebra, [u, u])
+    f = minimal_right_approximation(x, [u])
+    # Hom(U, X) has F_101-dimension 4 but F_{101^2}-dimension 2: two copies of U
+    assert f.source.dim_vector() == (4, 4)
+    assert f.is_isomorphism()
+
+
+def test_minimal_approximation_rejects_a_repeated_member(a2, kronecker_regular):
+    p1 = projective(a2, "1")
+    with pytest.raises(PreconditionFailed, match="do not factor"):
+        minimal_right_approximation(p1, [p1, p1])
+    with pytest.raises(PreconditionFailed, match="do not factor"):
+        minimal_right_approximation(kronecker_regular, [kronecker_regular, kronecker_regular])
+
+
+def test_minimal_approximation_rejects_a_decomposable_member(a2):
+    # P(1) + S(2) -> P(1) approximates, but kills the summand S(2): not right-minimal
+    p1, s2 = projective(a2, "1"), simple(a2, "2")
+    with pytest.raises(PreconditionFailed, match="non-radical"):
+        minimal_right_approximation(p1, [direct_sum(a2, [p1, s2])])
 
 
 def test_special_preenvelope_trivial_case(a2):

@@ -31,6 +31,21 @@ def test_check_algebra_parse_error(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_module_with_fractional_entry_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.mod"
+    bad.write_text("module X over lambda_dprime\ndim 3 1\ndim 4 1\nmap a [[1.5]]\n")
+    code, _, err = run(
+        capsys,
+        "ext",
+        "--algebra", str(DATA / "lambda_dprime.alg"),
+        "--source", str(bad),
+        "--target", str(DATA / "ldp_S4.mod"),
+        "--degree", "1",
+    )
+    assert code == 3
+    assert "line 4" in err
+
+
 def test_ext_command(capsys):
     code, out, _ = run(
         capsys,

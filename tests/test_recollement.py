@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from quiverglue import PrimeField, Quiver, build_algebra, relation
 from quiverglue import homology as hgy
 from quiverglue.errors import AlgebraMismatch, NotTriangular
 from quiverglue.modcat import (
+    hom_basis,
     hom_dim,
+    identity_morphism,
     injective,
     is_isomorphic,
     projective,
@@ -197,6 +200,41 @@ def test_functor_morphism_actions(rec, univ_c):
     for f in hom_basis(p3, s3):
         jf = rec.j_lower_shriek_mor(f)
         assert rec.j_upper_star_mor(jf).blocks["3"].tolist() == f.blocks["3"].tolist()
+
+
+def _same_morphism(f, g) -> bool:
+    return (
+        f.source.equal_presentation(g.source)
+        and f.target.equal_presentation(g.target)
+        and np.array_equal(f.to_vector(), g.to_vector())
+    )
+
+
+@pytest.mark.parametrize(
+    "functor, side",
+    [
+        ("i_star", "a"),
+        ("j_star", "c"),
+        ("i_shriek", "b"),
+        ("j_upper_star", "b"),
+        ("i_upper_star", "b"),
+        ("j_lower_shriek", "c"),
+    ],
+)
+def test_functor_morphism_actions_are_functorial(rec, univ_a, univ_c, univ_b, functor, side):
+    # F(id) = id and F(g o f) = F(g) o F(f) over every composable pair of hom-basis maps
+    mods = {"a": univ_a, "c": univ_c, "b": univ_b}[side].modules()
+    on_objects, on_maps = getattr(rec, functor), getattr(rec, f"{functor}_mor")
+    pairs = 0
+    for y in mods:
+        assert _same_morphism(on_maps(identity_morphism(y)), identity_morphism(on_objects(y)))
+        for x in mods:
+            for f in hom_basis(x, y):
+                for z in mods:
+                    for g in hom_basis(y, z):
+                        assert _same_morphism(on_maps(g.compose(f)), on_maps(g).compose(on_maps(f)))
+                        pairs += 1
+    assert pairs > 0
 
 
 def test_algebra_mismatch_guard(rec, univ_c):

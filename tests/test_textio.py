@@ -89,6 +89,17 @@ def test_module_with_unknown_vertex():
         parse_module("module X over lambda\ndim 9 1\n", algebra)
 
 
+@pytest.mark.parametrize("entry", ["1.5", "2.9", "True", "'7'", "None"])
+def test_module_rejects_non_integer_entries(entry):
+    # a map entry that is not an int would otherwise be truncated or cast silently
+    algebra = parse_algebra((data_path() / "lambda_dprime.alg").read_text(), name="lambda_dprime")
+    text = f"module X over lambda_dprime\ndim 3 1\ndim 4 1\nmap a [[{entry}]]\n"
+    with pytest.raises(ParseError) as err:
+        parse_module(text, algebra)
+    assert "line 4" in str(err.value)
+    assert parse_module(text.replace(entry, "-1"), algebra)[1].maps["a"][0, 0] == 100
+
+
 def test_universe_manifest_loads_bundled():
     ws = load_workspace()
     assert len(ws.universe_b) == 15
