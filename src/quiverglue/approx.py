@@ -31,6 +31,7 @@ import numpy as np
 from . import homology as hgy
 from .errors import KernelNotInV, NotSurjective, NotTilting, PreconditionFailed
 from .modcat import (
+    DEFAULT_SEED,
     QModule,
     QMorphism,
     _block_products,
@@ -73,10 +74,9 @@ class CoresolutionWitness:
         return len(self.steps)
 
 
-def in_add(m: QModule, reps: list[QModule], seed: int | None = None) -> bool:
+def in_add(m: QModule, reps: list[QModule], seed: int = DEFAULT_SEED) -> bool:
     """Whether every indecomposable summand of m matches some rep."""
-    kwargs = {} if seed is None else {"seed": seed}
-    for piece, _ in decompose(m, **kwargs):
+    for piece, _ in decompose(m, seed):
         if not any(indecomposable_iso(rep, piece) is not None for rep in reps):
             return False
     return True
@@ -214,7 +214,7 @@ def universal_extension(
 
 
 def special_preenvelope_tilting(
-    a: QModule, t: QModule, n: int, seed: int = 0xC0FFEE
+    a: QModule, t: QModule, n: int, seed: int = DEFAULT_SEED
 ) -> ApproxSequence:
     """0 -> A -> V -> U -> 0 with Ext^i(T, V) = 0 and U in the wedge of T.
 
@@ -254,7 +254,7 @@ def special_precover_universe(
     x: QModule,
     u_list: list[QModule],
     v_list: list[QModule],
-    seed: int = 0xC0FFEE,
+    seed: int = DEFAULT_SEED,
 ) -> ApproxSequence:
     """0 -> K -> U0 -> X -> 0 from the minimal right add(U)-approximation.
 
@@ -284,7 +284,7 @@ def special_preenvelope_universe(
     x: QModule,
     u_list: list[QModule],
     v_list: list[QModule],
-    seed: int = 0xC0FFEE,
+    seed: int = DEFAULT_SEED,
 ) -> ApproxSequence:
     """0 -> X -> V0 -> C -> 0 from the minimal left add(V)-approximation."""
     f = minimal_left_approximation(x, v_list)
@@ -309,7 +309,7 @@ def special_preenvelope_universe(
 
 
 def in_T_wedge(
-    x: QModule, t: QModule, n: int, seed: int = 0xC0FFEE
+    x: QModule, t: QModule, n: int, seed: int = DEFAULT_SEED
 ) -> CoresolutionWitness | None:
     """Accept X with an exact add(T)-coresolution of length <= n, else None."""
     t_reps = [rep for rep, _ in decompose(t, seed)]
@@ -332,7 +332,7 @@ def in_T_wedge(
 
 
 def in_T_covee(
-    x: QModule, t: QModule, n: int, seed: int = 0xC0FFEE
+    x: QModule, t: QModule, n: int, seed: int = DEFAULT_SEED
 ) -> CoresolutionWitness | None:
     """Dual membership: X admits an add(T)-resolution of length <= n."""
     witness = in_T_wedge(dualize(x), dualize(t), n, seed)

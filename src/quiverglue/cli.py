@@ -32,6 +32,7 @@ from .errors import (
     UniverseInconsistent,
     UnknownName,
 )
+from .modcat import DEFAULT_SEED
 from .recollement import build_recollement
 from .textio import parse_algebra, parse_module, parse_universe
 
@@ -232,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed", type=lambda s: int(s, 0),
-        default=int(env_seed, 0) if env_seed else 0xC0FFEE,
+        default=int(env_seed, 0) if env_seed else DEFAULT_SEED,
         help="seed for module decomposition (default: QUIVERGLUE_SEED or 0xC0FFEE)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -29,6 +29,7 @@ from .approx import (
 )
 from .errors import ExactnessMissing, PreconditionFailed, UniverseInconsistent
 from .modcat import (
+    DEFAULT_SEED,
     QModule,
     QMorphism,
     Universe,
@@ -47,8 +48,6 @@ from .tilting import (
     verify_pair_axioms,
     verify_tilting,
 )
-
-DEFAULT_SEED = 0xC0FFEE
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,6 @@ class Resolution:
     differentials: tuple[QMorphism, ...]
     augmentation: QMorphism
     syzygies: tuple[tuple[QModule, QMorphism], ...]
-    minimal: bool = True
 
     def length_computed(self) -> int:
         return len(self.terms) - 1

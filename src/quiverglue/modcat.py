@@ -11,20 +11,26 @@ where an invalid object would first exist.
 
 Decomposition into indecomposables works through the endomorphism
 algebra: the radical is the kernel of the trace form (valid because the
-field characteristic exceeds the total dimension), the semisimple
-quotient is split along its center deterministically, and only isotypic
-blocks fall back to a seeded search for a splitting element.  The
-multiset of summands is seed-independent by Krull-Schmidt.
+field characteristic exceeds the total dimension), and m is
+indecomposable exactly when S = End(m)/rad is a field, that is when S is
+commutative and Frobenius z -> z^p fixes only its scalars.  Otherwise m
+splits as e(m) + (1 - e)(m) for an idempotent e of a commutative
+subalgebra F_p[a]: the Frobenius-fixed space of F_p[a] is spanned by its
+primitive idempotents, and Cantor-Zassenhaus separates them with powers
+(b + s)^((p-1)/2), so no step evaluates anything at all p residues.  The
+element a lifts a non-scalar Frobenius-fixed element of S when S is
+commutative; only a non-commutative S falls back to a seeded search for
+a.  The multiset of summands is seed-independent by Krull-Schmidt.
 
 End(M) is built once per splitting step as a certified table of
 structure constants T[k, i, j] (the b_k-coordinate of b_i o b_j): all
 products of basis elements are formed in one contraction per vertex and
 mapped to coordinates by one left inverse of the basis matrix, and the
-batch is certified by mapping the coordinates back.  The trace form, the
-center of the semisimple quotient and the Frobenius map z -> z^p are
-then computed on coordinates.  A morphism is built (and validated) only
-where one leaves the algebra: the element a split runs along.  The End
-basis is not memoized, since it serves only the transient step.
+batch is certified by mapping the coordinates back.  The trace form,
+commutators, powers and idempotents are then computed on coordinates.
+A morphism is built (and validated) only where one leaves the algebra:
+the idempotents a split runs along.  The End basis is not memoized,
+since it serves only the transient step.
 """
 
 from __future__ import annotations
@@ -507,131 +513,6 @@ def socle_submodule(m: QModule) -> tuple[QModule, QMorphism]:
 # -- decomposition ---------------------------------------------------------
 
 
-def _min_poly(field, blocks: list[np.ndarray]) -> list[int]:
-    """Minimal polynomial (ascending coeffs, monic) of a block-diagonal matrix."""
-    dim = sum(b.shape[0] for b in blocks)
-    if dim == 0:
-        return [0, 1]
-    big = field.zeros(dim, dim)
-    o = 0
-    for b in blocks:
-        n = b.shape[0]
-        big[o : o + n, o : o + n] = b
-        o += n
-    power = field.identity(dim)
-    vecs = [power.reshape(-1)]
-    while True:
-        power = field.matmul(big, power)
-        stack = np.stack(vecs, axis=1)
-        sol = field.solve_matrix(stack, power.reshape(-1, 1))
-        if sol is not None:
-            coeffs = [int(-sol[i, 0]) % field.p for i in range(len(vecs))]
-            coeffs.append(1)
-            return coeffs
-        vecs.append(power.reshape(-1))
-
-
-def _poly_eval_matrix(field, coeffs: list[int], block: np.ndarray) -> np.ndarray:
-    n = block.shape[0]
-    acc = field.zeros(n, n)
-    for c in reversed(coeffs):
-        acc = field.add(field.matmul(acc, block), field.scale(c, field.identity(n)))
-    return acc
-
-
-def _poly_roots(field, coeffs: list[int]) -> list[int]:
-    xs = np.arange(field.p, dtype=np.int64)
-    acc = np.zeros(field.p, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = np.mod(acc * xs + c, field.p)
-    return [int(t) for t in np.nonzero(acc == 0)[0]]
-
-
-def _poly_divmod(field, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    num = [c % field.p for c in num]
-    den = [c % field.p for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    quot = [0] * max(0, len(num) - len(den) + 1)
-    rem = list(num)
-    inv_lead = field.inv_scalar(den[-1])
-    for k in range(len(num) - len(den), -1, -1):
-        if len(rem) < len(den) + k:
-            continue
-        c = (rem[len(den) - 1 + k] * inv_lead) % field.p
-        quot[k] = c
-        for i, d in enumerate(den):
-            rem[i + k] = (rem[i + k] - c * d) % field.p
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _primary_parts(field, minpoly: list[int]) -> list[list[int]]:
-    """Coprime factors: one (t-r)^e per root r, plus the rootless remainder."""
-    parts = []
-    g = list(minpoly)
-    for r in _poly_roots(field, minpoly):
-        factor = [(-r) % field.p, 1]
-        part = [1]
-        while True:
-            quot, rem = _poly_divmod(field, g, factor)
-            if rem:
-                break
-            g = quot
-            part = _poly_mul(field, part, factor)
-        parts.append(part)
-    if len(g) > 1:
-        parts.append(g)
-    return parts
-
-
-def _poly_mul(field, a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % field.p
-    return out
-
-
-def _endo_poly(field, f: QMorphism, coeffs: list[int]) -> QMorphism:
-    blocks = {v: _poly_eval_matrix(field, coeffs, b) for v, b in f.blocks.items()}
-    return QMorphism(f.source, f.target, blocks)
-
-
-def _split_along(m: QModule, f: QMorphism) -> list[tuple[QModule, QMorphism, QMorphism]] | None:
-    """Primary decomposition of m under the endomorphism f, if nontrivial."""
-    field = m.algebra.field
-    minpoly = _min_poly(field, [f.blocks[v] for v in m.algebra.quiver.vertices])
-    parts = _primary_parts(field, minpoly)
-    if len(parts) < 2:
-        return None
-    pieces = []
-    for part in parts:
-        k, incl = kernel(_endo_poly(field, f, part))
-        pieces.append((k, incl))
-    if sum(k.total_dim for k, _ in pieces) != m.total_dim:
-        raise RuntimeError("primary decomposition does not fill the module")
-    # projections: invert the vertex-wise change of basis
-    projections = []
-    inverses = {}
-    for v in m.algebra.quiver.vertices:
-        stacked = np.hstack([incl.blocks[v] for _, incl in pieces])
-        inv = field.inverse(stacked) if m.dims[v] else field.zeros(0, 0)
-        if inv is None:
-            raise RuntimeError("piece inclusions do not span")
-        inverses[v] = inv
-    offset = {v: 0 for v in m.algebra.quiver.vertices}
-    for k, incl in pieces:
-        blocks = {}
-        for v in m.algebra.quiver.vertices:
-            d = k.dims[v]
-            blocks[v] = inverses[v][offset[v] : offset[v] + d, :]
-            offset[v] += d
-        projections.append(QMorphism(m, k, blocks))
-    return [(k, incl, proj) for (k, incl), proj in zip(pieces, projections)]
-
-
 def _stacks(source: QModule, target: QModule, morphisms: Sequence[QMorphism]) -> dict[str, np.ndarray]:
     """Per vertex, the blocks of ``morphisms`` (source -> target) as one (n, t_v, s_v) array."""
     vertices = source.algebra.quiver.vertices
@@ -703,9 +584,10 @@ class _EndData:
         }
         return QMorphism(self.module, self.module, blocks)
 
-    def radical_coords(self) -> np.ndarray:
-        """The radical as the kernel of the trace form tr(b_i b_j)."""
-        return self.field.kernel_basis(_trace_pairing(self.field, self.stacks, self.stacks))
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The trace form tr(b_i o b_j); its kernel is the radical."""
+        return _trace_pairing(self.field, self.stacks, self.stacks)
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -750,7 +632,7 @@ def split_summands(
     """All indecomposable summands of m with inclusions and projections.
 
     Indecomposability of each returned piece is certified through the
-    endomorphism algebra (local ring test), never assumed.  Results are
+    endomorphism algebra (End/rad is a field), never assumed.  Results are
     cached per (module object, seed).
     """
     if m.total_dim == 0:
@@ -778,77 +660,78 @@ def _split_summands_compute(m: QModule, seed: int) -> tuple[tuple[QModule, QMorp
 
 
 def _split_module_once(m: QModule, seed: int) -> list[tuple[QModule, QMorphism, QMorphism]] | None:
-    """One splitting step; None certifies that m is indecomposable."""
+    """One splitting step; None certifies that m is indecomposable.
+
+    m is indecomposable exactly when S = End(m)/rad is a field, that is
+    when S is commutative and Frobenius fixes only its scalars.
+    """
     field = m.algebra.field
     end = _EndData(m)
-    n_end = len(end.basis)
-    if n_end == 1:
-        return None
-    rad = end.radical_coords()
-    s_dim = n_end - rad.shape[1]
-    if s_dim == 1:
-        return None
-
-    # coordinates on S = End/rad: complete rad to a basis of End-coords
-    full = field.image_basis(np.hstack([rad, field.identity(n_end)]))
-    inv = field.inverse(full)
-    r = rad.shape[1]
-    to_s = inv[r:, :]
-    section = full[:, r:]
-
-    # structure constants of S: ts[k, i, j] = to_s(section e_i o section e_j)
-    ts = field.matmul(end.table.reshape(n_end * n_end, n_end), section).reshape(n_end, n_end, s_dim)
-    ts = field.matmul(ts.transpose(0, 2, 1).reshape(n_end * s_dim, n_end), section)
-    ts = field.matmul(to_s, ts.reshape(n_end, s_dim * s_dim)).reshape(s_dim, s_dim, s_dim).transpose(0, 2, 1)
-    # center of S: [z, e_j] = 0 for all j, one block of rows per j
-    commutators = field.sub(ts, ts.transpose(0, 2, 1))
-    center = field.kernel_basis(commutators.transpose(2, 0, 1).reshape(s_dim * s_dim, s_dim))
-    z_dim = center.shape[1]
-
-    # Frobenius on the center: z -> z^p, F_p-linear on a commutative algebra
-    lifted = field.matmul(section, center)
-    frob = field.solve_matrix(center, field.matmul(to_s, end.power(lifted, field.p)))
-    if frob is None:
-        raise RuntimeError("center is not Frobenius-stable")
-    berlekamp = field.kernel_basis(field.sub(frob, field.identity(z_dim)))
-
-    if berlekamp.shape[1] >= 2:
-        # deterministic split along a non-scalar element of the fixed field
-        id_s = field.matmul(to_s, end.one.reshape(-1, 1))
-        id_z = field.solve_matrix(center, id_s)[:, 0]
-        chosen = None
-        for i in range(berlekamp.shape[1]):
-            cand = berlekamp[:, i]
-            if field.rank(np.stack([id_z, cand], axis=1)) == 2:
-                chosen = cand
-                break
-        if chosen is None:
-            raise RuntimeError("Berlekamp subalgebra collapsed onto scalars")
-        lift = end.from_coords(field.matmul(lifted, chosen.reshape(-1, 1)))
-        split = _split_along(m, lift)
-        if split is None:
-            raise RuntimeError("central element with split spectrum failed to split")
-        return split
-
-    # single simple block M_n(F_q); n == 1 certifies indecomposability
-    if s_dim % z_dim:
-        raise RuntimeError("simple block dimension is not a multiple of its center")
-    n_sq = s_dim // z_dim
-    n = int(round(n_sq ** 0.5))
-    if n * n != n_sq:
-        raise RuntimeError("simple block dimension is not a square over its center")
+    n = len(end.basis)
     if n == 1:
         return None
-
-    # isotypic block: seeded search for an endomorphism with split spectrum
-    rng = np.random.default_rng(seed)
-    for _ in range(4096):
-        coeffs = rng.integers(0, field.p, size=n_end)
-        cand = end.from_coords(np.mod(coeffs, field.p))
-        split = _split_along(m, cand)
+    # the basis elements at the pivots of the trace form lift a basis of S
+    _, pivots, s_dim = field.rref(end.gram)
+    if s_dim == 1:
+        return None
+    lifts = field.identity(n)[:, pivots]
+    products = end.table[:, pivots][:, :, pivots]
+    commutators = field.sub(products, products.transpose(0, 2, 1)).reshape(n, s_dim * s_dim)
+    if not np.any(field.matmul(end.gram, commutators)):
+        # S is commutative, so x -> x^p is F_p-linear on it (Berlekamp)
+        frobenius = field.sub(end.power(lifts, field.p), lifts)
+        fixed = field.matmul(lifts, field.kernel_basis(field.matmul(end.gram, frobenius)))
+        if fixed.shape[1] == 1:
+            return None
+        # lifts of a basis of the fixed space: a non-scalar one splits m
+        candidates = fixed.T
+    else:
+        # S is not a field, so m splits: seeded search for an a with F_p[a] not local
+        rng = np.random.default_rng(seed)
+        candidates = (rng.integers(0, field.p, size=n) for _ in range(4096))
+    for a in candidates:
+        split = _split_along(end, a)
         if split is not None:
             return split
-    raise RuntimeError("isotypic split not found; raise the trial bound")
+    raise RuntimeError("no splitting element found; raise the trial bound")
+
+
+def _split_along(end: _EndData, a: np.ndarray) -> list[tuple[QModule, QMorphism, QMorphism]] | None:
+    """m = e(m) + (1 - e)(m) for an idempotent e of C = F_p[a], or None if C is local.
+
+    Frobenius is F_p-linear on the commutative algebra C, and its fixed
+    space is spanned by the primitive idempotents e_i of C, exactly in
+    End(m).  A non-scalar fixed b = sum l_i e_i is cut by Cantor-Zassenhaus:
+    w = (b + s)^((p-1)/2) = sum chi(l_i + s) e_i and e = (w^2 + w)/2.
+    """
+    field, one = end.field, end.one.reshape(-1, 1)
+    a = a.reshape(-1, 1)
+    krylov, power = one, a
+    while field.rank(np.hstack([krylov, power])) > krylov.shape[1]:
+        krylov = np.hstack([krylov, power])
+        power = end.mul(power, a)
+    fixed = field.matmul(krylov, field.kernel_basis(field.sub(end.power(krylov, field.p), krylov)))
+    if fixed.shape[1] == 1:  # only the scalars: C is local
+        return None
+    b = next(b for b in fixed.T if field.rank(np.stack([one[:, 0], b], axis=1)) == 2).reshape(-1, 1)
+    half = field.inv_scalar(2)
+    for s in range(field.p):
+        w = end.power(field.add(b, s * one), (field.p - 1) // 2)
+        e = field.scale(half, field.add(end.mul(w, w), w))
+        if np.any(e) and np.any(field.sub(one, e)):
+            break
+    else:
+        raise RuntimeError("no shift separates the idempotents")
+    if not np.array_equal(end.mul(e, e), e):
+        raise RuntimeError("splitting element is not idempotent")
+    pieces = []
+    for idempotent in (e, field.sub(one, e)):
+        f = end.from_coords(idempotent)
+        piece, incl = image(f)
+        # f is the identity on its image, so f = incl o proj
+        proj = {v: field.solve_matrix(incl.blocks[v], f.blocks[v]) for v in f.blocks}
+        pieces.append((piece, incl, QMorphism(end.module, piece, proj)))
+    return pieces
 
 
 def decompose(m: QModule, seed: int = DEFAULT_SEED) -> list[tuple[QModule, int]]:

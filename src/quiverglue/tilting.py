@@ -20,6 +20,7 @@ from . import homology as hgy
 from .approx import CoresolutionWitness, in_T_covee, in_T_wedge
 from .errors import NotTilting, PreconditionFailed, UniverseInconsistent
 from .modcat import (
+    DEFAULT_SEED,
     QModule,
     Universe,
     direct_sum,
@@ -27,8 +28,6 @@ from .modcat import (
     injective,
     projective,
 )
-
-DEFAULT_SEED = 0xC0FFEE
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from quiverglue import PrimeField, Quiver, build_algebra, relation
+from quiverglue import PrimeField, QModule, Quiver, build_algebra, relation
 from quiverglue.bundled import load_workspace
 
 
@@ -29,6 +29,21 @@ def bound_a3(field):
     """3 -> 4 -> 5 (arrows a, b) with the composite ba killed."""
     quiver = Quiver(["3", "4", "5"], [("a", "3", "4"), ("b", "4", "5")])
     return build_algebra(quiver, [relation(quiver, [(1, ["a", "b"])])], field=field, name="ba3")
+
+
+@pytest.fixture(scope="session")
+def kronecker_regular(request, field):
+    """The Kronecker module k^2 with arrows I and the companion matrix of t^2 - c.
+
+    c is the least quadratic non-residue mod p, so t^2 - c is irreducible
+    and End(U) = F_p[t]/(t^2 - c) = F_{p^2}.  The prime is ``field``'s
+    unless the test parametrizes this fixture indirectly with one.
+    """
+    p = getattr(request, "param", field.p)
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    quiver = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    algebra = build_algebra(quiver, [], field=PrimeField(p), name="kronecker")
+    return QModule(algebra, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, c], [1, 0]]})
 
 
 @pytest.fixture(scope="session")

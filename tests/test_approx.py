@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quiverglue import Quiver, build_algebra
 from quiverglue import homology as hgy
 from quiverglue.approx import (
     in_T_covee,
@@ -19,7 +18,6 @@ from quiverglue.approx import (
 )
 from quiverglue.errors import NotSurjective, NotTilting, PreconditionFailed
 from quiverglue.modcat import (
-    QModule,
     decompose,
     direct_sum,
     hom_basis,
@@ -113,17 +111,6 @@ def test_minimal_approximation_of_a_member_of_add_is_an_isomorphism(univ_a, univ
         x = direct_sum(universe.algebra, [m, mods[(i + 1) % len(mods)], m])
         f = minimal_right_approximation(x, mods)
         assert f.is_isomorphism()
-
-
-@pytest.fixture(scope="module")
-def kronecker_regular(field):
-    """The Kronecker module k^2 with arrows I and the companion matrix of t^2 - 2.
-
-    t^2 - 2 is irreducible over F_101, so End(U) = F_101[t]/(t^2 - 2) = F_{101^2}.
-    """
-    quiver = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
-    algebra = build_algebra(quiver, [], field=field, name="kronecker")
-    return QModule(algebra, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, 2], [1, 0]]})
 
 
 def test_minimal_approximation_counts_copies_over_the_residue_field(kronecker_regular):

@@ -131,6 +131,13 @@ def test_reproduce_both_examples(capsys):
         assert "degree n2 = 2" in out
 
 
+def test_reproduce_at_a_large_prime(capsys):
+    # no step of the decomposition scales with p
+    code, out, _ = run(capsys, "--prime", "100000007", "reproduce", "5-2")
+    assert code == 0
+    assert "matches the expected summands" in out
+
+
 def test_reproduce_corrupted_universe(tmp_path, capsys):
     corrupted = tmp_path / "data"
     shutil.copytree(DATA, corrupted)

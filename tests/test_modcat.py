@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from quiverglue import homology as hgy
 from quiverglue import modcat
 from quiverglue.errors import AlgebraMismatch, FieldTooSmall, UniverseInconsistent
 from quiverglue.modcat import (
+    DEFAULT_SEED,
     Universe,
     _EndData,
     cokernel,
@@ -20,6 +23,7 @@ from quiverglue.modcat import (
     hom_basis,
     hom_dim,
     identity_morphism,
+    indecomposable_iso,
     injective,
     is_isomorphic,
     kernel,
@@ -329,8 +333,8 @@ def test_end_radical_is_trace_form_kernel(end_modules):
         for i, bi in enumerate(end.basis):
             for j, bj in enumerate(end.basis):
                 gram[i, j] = bi.compose(bj).trace()
-        assert np.array_equal(end.radical_coords(), field.kernel_basis(gram))
-    assert any(_EndData(m).radical_coords().shape[1] for m in end_modules)
+        assert np.array_equal(end.gram, gram)
+    assert any(m.algebra.field.kernel_basis(_EndData(m).gram).shape[1] for m in end_modules)
 
 
 def test_end_coordinates_reject_outside_span(end_modules, monkeypatch):
@@ -365,3 +369,87 @@ def test_decompose_pins_no_end_basis():
     parts = decompose(m)
     assert sorted(mult for _, mult in parts) == [1, 1, 1, 2]
     assert not [key for key in m.algebra._memo.get("hom", {}) if key[0] is key[1]]
+
+
+# -- splitting along idempotents of End(M) ------------------------------------
+
+kronecker_primes = pytest.mark.parametrize("kronecker_regular", [101, 32003], indirect=True)
+
+
+def assert_summands(parts, expected):
+    """Each piece is isomorphic to its expected module and has proj o incl = id."""
+    assert len(parts) == len(expected)
+    for (piece, incl, proj), module in zip(parts, expected):
+        assert indecomposable_iso(piece, module) is not None
+        assert np.array_equal(proj.compose(incl).to_vector(), identity_morphism(piece).to_vector())
+
+
+@kronecker_primes
+def test_kronecker_regular_is_certified_indecomposable(kronecker_regular):
+    # End(U) = F_{p^2}: no radical, but End/rad is not F_p either
+    u = kronecker_regular
+    assert len(hom_basis(u, u)) == 2
+    assert modcat._split_module_once(u, DEFAULT_SEED) is None
+
+
+@kronecker_primes
+def test_kronecker_square_splits_into_two_copies(kronecker_regular):
+    # End/rad = M_2(F_{p^2}) as an F_p-algebra: few endomorphisms have eigenvalues in F_p
+    u = kronecker_regular
+    assert_summands(split_summands(direct_sum(u.algebra, [u, u])), [u, u])
+
+
+@kronecker_primes
+def test_kronecker_with_a_simple_splits_through_the_commutative_branch(kronecker_regular, monkeypatch):
+    u = kronecker_regular
+    s1 = simple(u.algebra, "1")
+    assert_summands(split_summands(direct_sum(u.algebra, [u, s1, u])), [u, u, s1])
+
+    def no_search(seed):
+        raise AssertionError("the seeded search ran")
+
+    # End/rad = F_{p^2} x F_p is commutative: Frobenius finds the split
+    monkeypatch.setattr(np.random, "default_rng", no_search)
+    assert_summands(split_summands(direct_sum(u.algebra, [s1, u])), [u, s1])
+
+
+@kronecker_primes
+def test_split_does_not_depend_on_the_end_basis(kronecker_regular, monkeypatch):
+    # End bases of random elements: Frobenius is linear only on a commutative End/rad
+    u = kronecker_regular
+    field = u.algebra.field
+    rng = np.random.default_rng(5)
+    compute = modcat._hom_basis_compute
+
+    def random_end_basis(source, target):
+        basis = compute(source, target)
+        if source is not target:
+            return basis
+        vecs = np.stack([f.to_vector() for f in basis], axis=1)
+        mix = None
+        while mix is None or field.inverse(mix) is None:
+            mix = field.mat(rng.integers(0, field.p, size=(len(basis), len(basis))))
+        mixed = field.matmul(vecs, mix)
+        return tuple(modcat.morphism_from_vector(source, target, mixed[:, k]) for k in range(len(basis)))
+
+    monkeypatch.setattr(modcat, "_hom_basis_compute", random_end_basis)
+    s1, s2 = simple(u.algebra, "1"), simple(u.algebra, "2")
+    for _ in range(3):
+        assert_summands(split_summands(direct_sum(u.algebra, [u, u])), [u, u])
+        assert_summands(split_summands(direct_sum(u.algebra, [u, s1, u])), [u, u, s1])
+        assert_summands(split_summands(direct_sum(u.algebra, [s1, s2, s1])), [s2, s1, s1])
+
+
+@pytest.mark.parametrize("kronecker_regular", [100000007], indirect=True)
+def test_decompose_at_a_large_prime_allocates_little(kronecker_regular):
+    # nothing in the split scales with p; one int64 per residue would be 800 MB here
+    u = kronecker_regular
+    m = direct_sum(u.algebra, [u, simple(u.algebra, "1"), u])
+    tracemalloc.start()
+    try:
+        parts = decompose(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted((rep.dim_vector(), mult) for rep, mult in parts) == [((1, 0), 1), ((2, 2), 2)]
+    assert peak < 2 * 2**20
