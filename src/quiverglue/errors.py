@@ -11,6 +11,10 @@ class ShapeMismatch(QuiverglueError):
     """Matrix or block dimensions are incompatible."""
 
 
+class NonIntegerEntries(QuiverglueError):
+    """A matrix was given with entries that are not integers."""
+
+
 class NotFiniteDimensional(QuiverglueError):
     """Path basis saturation did not terminate below the length cap."""
 

@@ -7,8 +7,13 @@ opposite algebra via duality, never by separate formulas.
 ``ext`` returns both a dimension and an explicit cocycle basis: classes
 in Ext^i(M, N) are represented by morphisms from the i-th syzygy of M
 to N, normalized by row reduction of their coordinate vectors so the
-basis is deterministic.  Resolutions are cached per module object with
-``memo``, and a request longer than the cached one replaces the entry.
+basis is deterministic.  The dimension is checked against a second
+route that shares only the resolution: the cohomology of Hom(P_*, N) in
+Yoneda coordinates, Hom(P(v), N) = N_v (each resolution records the
+generator vertices of its terms), where Hom(d_k, N) is a block matrix
+of N's path actions and needs no hom kernel, morphism or solve.
+Resolutions are cached per module object with ``memo``, and a request
+longer than the cached one replaces the entry.
 """
 
 from __future__ import annotations
@@ -79,6 +84,8 @@ class Resolution:
     terms[i] -> terms[i-1] for i >= 1; ``augmentation`` maps terms[0]
     onto the target (projective case; arrows dualize for injective).
     ``syzygies[i]`` is the i-th syzygy with its inclusion into terms[i-1].
+    ``generators[i]`` lists the vertex v of each summand P(v) of
+    terms[i] in cover order (I(v) for the injective kind).
     """
 
     target: QModule
@@ -87,6 +94,7 @@ class Resolution:
     differentials: tuple[QMorphism, ...]
     augmentation: QMorphism
     syzygies: tuple[tuple[QModule, QMorphism], ...]
+    generators: tuple[tuple[str, ...], ...]
 
     def length_computed(self) -> int:
         return len(self.terms) - 1
@@ -94,10 +102,15 @@ class Resolution:
 
 def projective_cover(m: QModule) -> QMorphism:
     """The minimal surjection P(top m) ->> m."""
+    return _projective_cover(m)[0]
+
+
+def _projective_cover(m: QModule) -> tuple[QMorphism, tuple[str, ...]]:
+    """The projective cover with the vertex of each generator, in cover order."""
     algebra = m.algebra
     field = algebra.field
     if m.total_dim == 0:
-        return zero_morphism(zero_module(algebra), m)
+        return zero_morphism(zero_module(algebra), m), ()
     top, proj_to_top = top_quotient(m)
     pieces = []
     generators = []  # one lift in m per top basis vector
@@ -123,7 +136,7 @@ def projective_cover(m: QModule) -> QMorphism:
     morphism = QMorphism(cover, m, blocks)
     if not morphism.is_surjective():
         raise RuntimeError("projective cover failed to surject")
-    return morphism
+    return morphism, tuple(v for v, _ in generators)
 
 
 def injective_envelope(m: QModule) -> QMorphism:
@@ -147,17 +160,19 @@ def projective_resolution(m: QModule, length: int) -> Resolution:
 
 
 def _projective_resolution_compute(m: QModule, length: int) -> Resolution:
-    augmentation = projective_cover(m)
+    augmentation, gens = _projective_cover(m)
     terms = [augmentation.source]
+    generators = [gens]
     differentials: list[QMorphism] = []
     syzygies: list[tuple[QModule, QMorphism]] = []
     prev_cover = augmentation
     for _ in range(length):
         syz, incl = kernel(prev_cover)
         syzygies.append((syz, incl))
-        next_cover = projective_cover(syz)
+        next_cover, gens = _projective_cover(syz)
         differentials.append(incl.compose(next_cover))
         terms.append(next_cover.source)
+        generators.append(gens)
         prev_cover = next_cover
     return Resolution(
         target=m,
@@ -166,6 +181,7 @@ def _projective_resolution_compute(m: QModule, length: int) -> Resolution:
         differentials=tuple(differentials),
         augmentation=augmentation,
         syzygies=tuple(syzygies),
+        generators=tuple(generators),
     )
 
 
@@ -187,6 +203,7 @@ def injective_resolution(m: QModule, length: int) -> Resolution:
         syzygies=tuple(
             (dualize(syz), dualize_morphism(incl)) for syz, incl in res.syzygies
         ),
+        generators=res.generators,
     )
 
 
@@ -233,7 +250,9 @@ def ext(m: QModule, n: QModule, i: int) -> ExtGroup:
 
     The dimension is computed twice: as Hom(Omega^i m, n) modulo maps
     factoring through the enclosing projective, and as the cohomology of
-    the Hom complex of the minimal resolution.  Both must agree.
+    the Hom complex of the minimal resolution in Yoneda coordinates
+    (Hom(P_k, n) = sum of n_v over the generators of P_k).  Both must
+    agree.
     """
     if i < 1:
         raise ValueError("ext is defined here for degree >= 1")
@@ -278,40 +297,51 @@ def _ext_compute(m: QModule, n: QModule, i: int) -> ExtGroup:
     return ExtGroup(i, m, n, dimension, tuple(cocycles))
 
 
-def _hom_matrix_postcompose(fs: list[QMorphism], gs: list[QMorphism], d: QMorphism, field) -> np.ndarray:
-    """Matrix of Hom(d, N): f -> f o d from span(fs) to span(gs) coordinates."""
-    if not fs or not gs:
-        return field.zeros(len(gs), len(fs))
-    g_vecs = np.stack([g.to_vector() for g in gs], axis=1)
-    cols = []
-    for f in fs:
-        comp = f.compose(d)
-        sol = field.solve_matrix(g_vecs, comp.to_vector().reshape(-1, 1))
-        if sol is None:
-            raise RuntimeError("composition escaped the hom space")
-        cols.append(sol[:, 0])
-    return np.stack(cols, axis=1)
-
-
 def _ext_dim_from_complex(m: QModule, n: QModule, i: int) -> int:
+    """dim Ext^i(m, n) as the cohomology of Hom(P_*, n) in Yoneda coordinates."""
     field = m.algebra.field
     res = projective_resolution(m, i + 1)
-    homs = [hom_basis(res.terms[k], n) for k in range(i + 2)]
-    d_in = (
-        _hom_matrix_postcompose(homs[i - 1], homs[i], res.differentials[i - 1], field)
-        if homs[i - 1]
-        else field.zeros(len(homs[i]), 0)
-    )
-    d_out = (
-        _hom_matrix_postcompose(homs[i], homs[i + 1], res.differentials[i], field)
-        if homs[i]
-        else field.zeros(len(homs[i + 1]), 0)
-    )
-    if not homs[i]:
+    dim_hom = sum(n.dims[v] for v in res.generators[i])
+    if not dim_hom:
         return 0
-    kernel_dim = len(homs[i]) - field.rank(d_out)
-    image_dim = field.rank(d_in)
-    return kernel_dim - image_dim
+    actions: dict[int, np.ndarray] = {}
+    d_in = _yoneda_matrix(res, i, n, actions)
+    d_out = _yoneda_matrix(res, i + 1, n, actions)
+    return dim_hom - field.rank(d_out) - field.rank(d_in)
+
+
+def _yoneda_matrix(res: Resolution, k: int, n: QModule, actions: dict[int, np.ndarray]) -> np.ndarray:
+    """The matrix of Hom(d_k, n): Hom(P_(k-1), n) -> Hom(P_k, n), for k >= 1.
+
+    A map P(v) -> n is fixed by the image of e_v (Yoneda), so Hom(P_k, n)
+    is the sum of n_(v_g) over the generators g of P_k.  If
+    d_k(e_g) = sum c_(g,h,q) q e_h over residue paths q from v_h to v_g,
+    then f o d_k sends e_g to sum c_(g,h,q) n(q) f(e_h): block (g, h) is
+    sum_q c_(g,h,q) n(q), with the c read off d_k's column at e_g.
+    ``actions`` caches n(q) by basis index q.
+    """
+    algebra = n.algebra
+    field = algebra.field
+    d = res.differentials[k - 1]
+    sources, targets = res.generators[k], res.generators[k - 1]
+    row_offsets = np.cumsum([0] + [n.dims[v] for v in sources])
+    col_offsets = np.cumsum([0] + [n.dims[v] for v in targets])
+    out = field.zeros(int(row_offsets[-1]), int(col_offsets[-1]))
+    for g, y in enumerate(sources):
+        if not n.dims[y]:
+            continue
+        # e_g follows the residue paths to y of the summands before it
+        column = d.blocks[y][:, sum(len(algebra.basis_paths_between(x, y)) for x in sources[:g])]
+        rows = slice(row_offsets[g], row_offsets[g + 1])
+        # row r of the column is the coefficient of the r-th residue path q e_h of P_(k-1) at y
+        labels = [(h, q) for h, x in enumerate(targets) for q in algebra.basis_paths_between(x, y)]
+        for r in np.flatnonzero(column):
+            h, q = labels[r]
+            if q not in actions:
+                actions[q] = n.path_action(algebra.basis[q])
+            cols = slice(col_offsets[h], col_offsets[h + 1])
+            out[rows, cols] = field.add(out[rows, cols], field.scale(int(column[r]), actions[q]))
+    return out
 
 
 def ext_dim_via_cosyzygy(m: QModule, n: QModule, i: int) -> int:

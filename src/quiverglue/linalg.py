@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionFailed, ShapeMismatch
+from .errors import NonIntegerEntries, PreconditionFailed, ShapeMismatch
 
 DEFAULT_PRIME = 101
 INT64_MAX = 2**63 - 1
@@ -58,14 +58,27 @@ class PrimeField:
 
     # -- construction -------------------------------------------------
 
+    def residues(self, data) -> np.ndarray:
+        """``data`` as an int64 array of canonical residues, of the same shape.
+
+        Entries must have an integer dtype: a float, string, bool or
+        object array is refused rather than truncated or cast.
+        """
+        a = np.asarray(data)
+        if a.dtype.kind not in "iu" and a.size:
+            raise NonIntegerEntries(f"matrix entries must be integers, got dtype {a.dtype}")
+        if a.dtype == np.uint64:
+            a = np.mod(a, np.uint64(self.p))
+        return np.mod(a.astype(np.int64), self.p)
+
     def mat(self, data) -> np.ndarray:
         """Canonicalize ``data`` into an int64 matrix with entries mod p."""
-        m = np.array(data, dtype=np.int64)
+        m = self.residues(data)
         if m.ndim == 1:
             m = m.reshape(-1, 1)
         if m.ndim != 2:
             raise ShapeMismatch(f"expected a matrix, got ndim={m.ndim}")
-        return np.mod(m, self.p)
+        return m
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         return np.zeros((rows, cols), dtype=np.int64)

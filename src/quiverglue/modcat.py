@@ -7,7 +7,13 @@ making every arrow square commute.
 
 Modules and morphisms are immutable once constructed and validate
 themselves eagerly, so any construction bug fails loudly at the point
-where an invalid object would first exist.
+where an invalid object would first exist.  Matrix entries must have an
+integer dtype; nothing is truncated or cast.  Hom bases are the one
+batch exception: the square equations are assembled by index scatter,
+and the whole kernel K is certified by one product ``system @ K == 0``
+(the per-morphism square checks, all at once).  The basis morphisms are
+then built unchecked, with read-only blocks, because the hom memo shares
+them.
 
 Decomposition into indecomposables works through the endomorphism
 algebra: the radical is the kernel of the trace form (valid because the
@@ -76,7 +82,7 @@ class QModule:
             if m is None:
                 m = field.zeros(t, s)
             else:
-                m = field.mat(m) if not isinstance(m, np.ndarray) else np.mod(m.astype(np.int64), field.p)
+                m = field.residues(m) if isinstance(m, np.ndarray) else field.mat(m)
             if m.shape != (t, s):
                 raise ShapeMismatch(f"map for arrow {a.name} has shape {m.shape}, expected {(t, s)}")
             self.maps[a.name] = m
@@ -133,11 +139,23 @@ class QMorphism:
             if b is None:
                 b = field.zeros(t, s)
             else:
-                b = np.mod(np.asarray(b, dtype=np.int64), field.p)
+                b = field.residues(b)
             if b.shape != (t, s):
                 raise ShapeMismatch(f"block at {v} has shape {b.shape}, expected {(t, s)}")
             self.blocks[v] = b
         self._check_squares()
+
+    @classmethod
+    def _certified(cls, source: QModule, target: QModule, blocks: dict[str, np.ndarray]) -> QMorphism:
+        """A morphism from read-only blocks that a caller has already certified.
+
+        Skips the per-arrow square check: ``_hom_basis_compute`` certifies a
+        whole kernel with one product, which is the same statement for
+        every basis morphism at once.
+        """
+        f = cls.__new__(cls)
+        f.source, f.target, f.blocks = source, target, blocks
+        return f
 
     def _check_squares(self) -> None:
         field = self.source.algebra.field
@@ -216,16 +234,6 @@ def zero_morphism(source: QModule, target: QModule) -> QMorphism:
     return QMorphism(source, target, {})
 
 
-def morphism_from_vector(source: QModule, target: QModule, vec: np.ndarray) -> QMorphism:
-    blocks = {}
-    offset = 0
-    for v in source.algebra.quiver.vertices:
-        t, s = target.dims[v], source.dims[v]
-        blocks[v] = vec[offset : offset + t * s].reshape(t, s)
-        offset += t * s
-    return QMorphism(source, target, blocks)
-
-
 # -- hom spaces -----------------------------------------------------------
 
 
@@ -241,44 +249,51 @@ def hom_basis(source: QModule, target: QModule) -> list[QMorphism]:
 
 
 def _hom_basis_compute(source: QModule, target: QModule) -> tuple[QMorphism, ...]:
+    """The kernel K of the square equations, certified by one product system @ K == 0.
+
+    Unknowns are the blocks X_v (t_v x s_v, row-major).  The equation
+    N_a X_u - X_w M_a = 0 of an arrow a: u -> w fills rows (i, j) of its
+    block: column (u, k, j) gets N_a[i, k] and column (w, i, l) gets
+    -M_a[l, j].  The basis blocks are read-only views of K, since the hom
+    memo shares them.
+    """
     field = source.algebra.field
     quiver = source.algebra.quiver
-
-    sizes = {v: target.dims[v] * source.dims[v] for v in quiver.vertices}
+    shapes = {v: (target.dims[v], source.dims[v]) for v in quiver.vertices}
     offsets = {}
     total = 0
-    for v in quiver.vertices:
+    for v, (t, s) in shapes.items():
         offsets[v] = total
-        total += sizes[v]
+        total += t * s
     if total == 0:
         return ()
 
-    rows = []
-    for a in quiver.arrows:
-        u, w = a.source, a.target
-        n_rows = target.dims[w] * source.dims[u]
-        if n_rows == 0:
+    row_counts = [target.dims[a.target] * source.dims[a.source] for a in quiver.arrows]
+    system = np.zeros((sum(row_counts), total), dtype=np.int64)
+    row = 0
+    for a, n_rows in zip(quiver.arrows, row_counts):
+        if not n_rows:
             continue
-        block = field.zeros(n_rows, total)
-        # vec(N_a @ X_u) = (N_a kron I) vec(X_u)   (row-major vec)
-        if sizes[u]:
-            block[:, offsets[u] : offsets[u] + sizes[u]] = np.kron(
-                target.maps[a.name], field.identity(source.dims[u])
-            )
-        # vec(X_w @ M_a) = (I kron M_a^T) vec(X_w)
-        if sizes[w]:
-            block[:, offsets[w] : offsets[w] + sizes[w]] = field.sub(
-                block[:, offsets[w] : offsets[w] + sizes[w]],
-                np.kron(field.identity(target.dims[w]), source.maps[a.name].T),
-            )
-        rows.append(np.mod(block, field.p))
+        (t_u, s_u), (t_w, s_w) = shapes[a.source], shapes[a.target]
+        block = system[row : row + n_rows].reshape(t_w, s_u, total)
+        i = np.arange(t_w).reshape(-1, 1, 1)
+        j = np.arange(s_u).reshape(1, -1, 1)
+        block[i, j, offsets[a.source] + np.arange(t_u) * s_u + j] = target.maps[a.name][:, None, :]
+        block[i, j, offsets[a.target] + i * s_w + np.arange(s_w)] -= source.maps[a.name].T[None, :, :]
+        row += n_rows
+    np.mod(system, field.p, out=system)
 
-    if rows:
-        system = np.vstack(rows)
-        kernel = field.kernel_basis(system)
-    else:
-        kernel = field.identity(total)
-    return tuple(morphism_from_vector(source, target, kernel[:, k]) for k in range(kernel.shape[1]))
+    kernel = field.kernel_basis(system)
+    if np.any(field.matmul(system, kernel)):
+        pair = f"{source.dim_vector()} -> {target.dim_vector()}"
+        raise RuntimeError(f"hom kernel certificate failed: system @ K != 0 for {pair}")
+    vecs = kernel.T.copy()
+    vecs.setflags(write=False)
+
+    def blocks(vec: np.ndarray) -> dict[str, np.ndarray]:
+        return {v: vec[offsets[v] : offsets[v] + t * s].reshape(t, s) for v, (t, s) in shapes.items()}
+
+    return tuple(QMorphism._certified(source, target, blocks(vec)) for vec in vecs)
 
 
 def hom_dim(source: QModule, target: QModule) -> int:

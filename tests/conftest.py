@@ -6,6 +6,7 @@ share them, which keeps the whole suite fast.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from quiverglue import PrimeField, QModule, Quiver, build_algebra, relation
@@ -44,6 +45,29 @@ def kronecker_regular(request, field):
     quiver = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
     algebra = build_algebra(quiver, [], field=PrimeField(p), name="kronecker")
     return QModule(algebra, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, c], [1, 0]]})
+
+
+@pytest.fixture(
+    params=[[[1.5]], np.array([[2.0]]), [["7"]], [[True]], [[None]]],
+    ids=["1.5", "float64-array", "'7'", "True", "None"],
+)
+def non_integer(request):
+    """A 1 x 1 matrix whose entry is not an integer; no constructor may truncate or cast it."""
+    return request.param
+
+
+@pytest.fixture(scope="session")
+def kronecker_modules(field):
+    """Sixteen Kronecker modules (1 => 2) with random maps and dims up to (3, 3), seeded."""
+    quiver = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    algebra = build_algebra(quiver, [], field=field, name="kronecker")
+    rng = np.random.default_rng(2001)
+    modules = []
+    for _ in range(16):
+        d1, d2 = (int(d) for d in rng.integers(0, 4, size=2))
+        maps = {a: rng.integers(0, field.p, size=(d2, d1)) for a in "ab"}
+        modules.append(QModule(algebra, {"1": d1, "2": d2}, maps))
+    return modules
 
 
 @pytest.fixture(scope="session")

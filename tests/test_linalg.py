@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quiverglue.errors import PreconditionFailed, ShapeMismatch
+from quiverglue.errors import NonIntegerEntries, PreconditionFailed, ShapeMismatch
 from quiverglue.linalg import PrimeField
 
 
@@ -141,3 +141,16 @@ def test_det_exact_near_the_prime_bound():
     field = PrimeField(p)
     m = field.mat([[p - 1, p - 2], [p - 3, p - 1]])
     assert field.det(m) == ((p - 1) ** 2 - (p - 2) * (p - 3)) % p
+
+
+def test_non_integer_entries_are_rejected(f101, non_integer):
+    with pytest.raises(NonIntegerEntries, match="got dtype"):
+        f101.mat(non_integer)
+
+
+def test_integer_dtypes_reduce_exactly(f101):
+    # uint64 beyond the int64 range is reduced before the cast; empty input has no entries to check
+    assert f101.mat(np.array([[2**64 - 1]], dtype=np.uint64))[0, 0] == (2**64 - 1) % 101
+    assert f101.mat(np.array([[-1]], dtype=np.int8))[0, 0] == 100
+    assert PrimeField(32003).mat(np.array([[-1]], dtype=np.int8))[0, 0] == 32002
+    assert f101.mat([]).shape == (0, 1)

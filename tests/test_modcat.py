@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quiverglue import PrimeField, QModule, Quiver, build_algebra, relation
+from quiverglue import PrimeField, QModule, QMorphism, Quiver, build_algebra, relation
 from quiverglue import homology as hgy
 from quiverglue import modcat
-from quiverglue.errors import AlgebraMismatch, FieldTooSmall, UniverseInconsistent
+from quiverglue.errors import AlgebraMismatch, FieldTooSmall, NonIntegerEntries, UniverseInconsistent
 from quiverglue.modcat import (
     DEFAULT_SEED,
     Universe,
@@ -39,6 +39,17 @@ def test_relation_compliance_enforced(bound_a3):
     # a representation violating ba = 0 must be rejected
     with pytest.raises(ValueError):
         QModule(bound_a3, {"3": 1, "4": 1, "5": 1}, {"a": [[1]], "b": [[1]]})
+
+
+def test_module_rejects_non_integer_maps(a2, non_integer):
+    with pytest.raises(NonIntegerEntries, match="got dtype"):
+        QModule(a2, {"1": 1, "2": 1}, {"d": non_integer})
+
+
+def test_morphism_rejects_non_integer_blocks(a2, non_integer):
+    s1 = simple(a2, "1")
+    with pytest.raises(NonIntegerEntries, match="got dtype"):
+        QMorphism(s1, s1, {"1": non_integer})
 
 
 def test_projective_hom_formula_exhaustive(workspace):
@@ -260,6 +271,89 @@ def test_top_and_socle(a2):
     assert soc.dim_vector() == (0, 1)
 
 
+# -- the hom kernel ------------------------------------------------------------
+
+
+def kron_system(source, target):
+    """The square equations of Hom(source, target) built with np.kron, as a reference."""
+    field = source.algebra.field
+    vertices = source.algebra.quiver.vertices
+    sizes = {v: target.dims[v] * source.dims[v] for v in vertices}
+    offsets = dict(zip(vertices, np.cumsum([0] + [sizes[v] for v in vertices])))
+    total = sum(sizes.values())
+    rows = [np.zeros((0, total), dtype=np.int64)]
+    for a in source.algebra.quiver.arrows:
+        u, w = a.source, a.target
+        block = np.zeros((target.dims[w] * source.dims[u], total), dtype=np.int64)
+        if sizes[u]:
+            block[:, offsets[u] : offsets[u] + sizes[u]] += np.kron(
+                target.maps[a.name], np.eye(source.dims[u], dtype=np.int64)
+            )
+        if sizes[w]:
+            block[:, offsets[w] : offsets[w] + sizes[w]] -= np.kron(
+                np.eye(target.dims[w], dtype=np.int64), source.maps[a.name].T
+            )
+        rows.append(block)
+    return np.mod(np.vstack(rows), field.p)
+
+
+@pytest.fixture(scope="module")
+def hom_pairs(workspace, kronecker_modules):
+    """Every ordered pair of each bundled universe, and of the random Kronecker modules."""
+    groups = [u.modules() for u in (workspace.universe_a, workspace.universe_c, workspace.universe_b)]
+    groups.append(kronecker_modules)
+    return [(m, n) for group in groups for m in group for n in group]
+
+
+def test_hom_basis_spans_the_kron_kernel(hom_pairs):
+    for m, n in hom_pairs:
+        field = m.algebra.field
+        system = kron_system(m, n)
+        basis = hom_basis(m, n)
+        assert len(basis) == system.shape[1] - field.rank(system)
+        if basis:
+            vecs = np.stack([f.to_vector() for f in basis], axis=1)
+            assert field.rank(vecs) == len(basis)
+            assert not np.any(field.matmul(system, vecs))
+
+
+def test_hom_basis_morphisms_revalidate(hom_pairs):
+    for m, n in hom_pairs:
+        for f in hom_basis(m, n):
+            again = QMorphism(m, n, f.blocks)
+            assert np.array_equal(again.to_vector(), f.to_vector())
+
+
+def test_hom_kernel_certificate_catches_a_corrupted_column(workspace, monkeypatch):
+    universe = workspace.universe_b
+    m = universe.module("(P(1)|P(3))")
+    system = kron_system(m, m)
+    assert modcat._hom_basis_compute(m, m)
+    # adding a unit vector outside the kernel to the first column leaves the kernel
+    bad = int(np.flatnonzero(system.any(axis=0))[0])
+    original = PrimeField.kernel_basis
+
+    def corrupted(self, a):
+        k = original(self, a).copy()
+        k[bad, 0] = (k[bad, 0] + 1) % self.p
+        return k
+
+    monkeypatch.setattr(PrimeField, "kernel_basis", corrupted)
+    with pytest.raises(RuntimeError, match="hom kernel certificate failed"):
+        modcat._hom_basis_compute(m, m)
+
+
+def test_hom_basis_blocks_are_read_only(workspace):
+    universe = workspace.universe_b
+    m = universe.module("(P(1)|P(3))")
+    f = hom_basis(m, m)[0]
+    for block in f.blocks.values():
+        if block.size:
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 1
+    assert np.array_equal(hom_basis(m, m)[0].to_vector(), f.to_vector())
+
+
 # -- the End(M) kernel -------------------------------------------------------
 
 
@@ -425,12 +519,17 @@ def test_split_does_not_depend_on_the_end_basis(kronecker_regular, monkeypatch):
         basis = compute(source, target)
         if source is not target:
             return basis
-        vecs = np.stack([f.to_vector() for f in basis], axis=1)
         mix = None
         while mix is None or field.inverse(mix) is None:
             mix = field.mat(rng.integers(0, field.p, size=(len(basis), len(basis))))
-        mixed = field.matmul(vecs, mix)
-        return tuple(modcat.morphism_from_vector(source, target, mixed[:, k]) for k in range(len(basis)))
+
+        def combination(column):
+            f = modcat.zero_morphism(source, target)
+            for c, b in zip(column, basis):
+                f = f.add(b.scale(int(c)))
+            return f
+
+        return tuple(combination(mix[:, k]) for k in range(len(basis)))
 
     monkeypatch.setattr(modcat, "_hom_basis_compute", random_end_basis)
     s1, s2 = simple(u.algebra, "1"), simple(u.algebra, "2")
