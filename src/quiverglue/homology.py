@@ -12,13 +12,16 @@ route that shares only the resolution: the cohomology of Hom(P_*, N) in
 Yoneda coordinates, Hom(P(v), N) = N_v (each resolution records the
 generator vertices of its terms), where Hom(d_k, N) is a block matrix
 of N's path actions and needs no hom kernel, morphism or solve.
-Resolutions are cached per module object with ``memo``, and a request
-longer than the cached one replaces the entry.
+Resolutions are cached per module object with ``memo``; a request longer
+than the cached one extends it from its last step, and a resolution that
+reaches a zero syzygy repeats that zero module from there on without
+further covers.  Cover generators are unit vectors read off the
+complement of the radical (``top_lifts``), so no top quotient is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .modcat import (
     QModule,
     QMorphism,
     cokernel,
+    direct_sum,
     direct_sum_with_maps,
     dualize,
     dualize_morphism,
@@ -34,8 +38,7 @@ from .modcat import (
     kernel,
     projective,
     simple,
-    top_quotient,
-    zero_module,
+    top_lifts,
     zero_morphism,
 )
 
@@ -80,12 +83,13 @@ class ShortExactSequence:
 class Resolution:
     """A finite initial segment of a minimal resolution.
 
-    ``terms[i]`` covers the i-th syzygy; ``differentials[i]`` maps
-    terms[i] -> terms[i-1] for i >= 1; ``augmentation`` maps terms[0]
-    onto the target (projective case; arrows dualize for injective).
-    ``syzygies[i]`` is the i-th syzygy with its inclusion into terms[i-1].
-    ``generators[i]`` lists the vertex v of each summand P(v) of
-    terms[i] in cover order (I(v) for the injective kind).
+    ``terms[k]`` = P_k covers the k-th syzygy (the target for k = 0);
+    ``augmentation`` maps terms[0] onto the target, and
+    ``differentials[k-1]`` is d_k: terms[k] -> terms[k-1] for k >= 1.
+    ``syzygies[k-1]`` is Omega^k with its inclusion into terms[k-1], so
+    ``syzygy(m, k)`` is ``syzygies[k-1][0]``.  ``generators[k]`` lists
+    the vertex v of each summand P(v) of terms[k] in cover order (I(v)
+    for the injective kind).  Arrows dualize for the injective kind.
     """
 
     target: QModule
@@ -106,37 +110,36 @@ def projective_cover(m: QModule) -> QMorphism:
 
 
 def _projective_cover(m: QModule) -> tuple[QMorphism, tuple[str, ...]]:
-    """The projective cover with the vertex of each generator, in cover order."""
+    """The projective cover with the vertex of each generator, in cover order.
+
+    The generators are the unit vectors ``top_lifts`` reads off the
+    complement of the radical; the trivial path of the g-th summand P(v)
+    goes to the g-th of them, and every residue path q of P(v) to q times it.
+    """
     algebra = m.algebra
     field = algebra.field
-    if m.total_dim == 0:
-        return zero_morphism(zero_module(algebra), m), ()
-    top, proj_to_top = top_quotient(m)
-    pieces = []
-    generators = []  # one lift in m per top basis vector
-    for v in algebra.quiver.vertices:
-        for col in range(top.dims[v]):
-            pieces.append(projective(algebra, v))
-            generators.append((v, col))
-
-    cover, injections, _ = direct_sum_with_maps(algebra, pieces)
-    # section of the top projection: pick preimages of top basis vectors
-    sections = {v: field.solve_matrix(proj_to_top.blocks[v], field.identity(top.dims[v])) for v in m.dims}
-    blocks = {v: field.zeros(m.dims[v], cover.dims[v]) for v in m.dims}
-    for piece, inj, (v, col) in zip(pieces, injections, generators):
-        gen = sections[v][:, col]
-        # send the trivial-path basis vector of P(v) to gen, then extend
-        # along every residue path by the module action
-        for u in algebra.quiver.vertices:
-            for k, bi in enumerate(algebra.basis_paths_between(v, u)):
-                path = algebra.basis[bi]
-                vec = field.matmul(m.path_action(path), gen.reshape(-1, 1))[:, 0]
-                col_in_cover = np.nonzero(inj.blocks[u][:, k])[0]
-                blocks[u][:, int(col_in_cover[0])] = vec
+    lifts = top_lifts(m)
+    vertices = algebra.quiver.vertices
+    generators = tuple(v for v in vertices for _ in lifts[v])
+    cover = direct_sum(algebra, [projective(algebra, v) for v in generators])
+    blocks = {u: field.zeros(m.dims[u], cover.dims[u]) for u in vertices}
+    offsets = dict.fromkeys(vertices, 0)
+    for v in vertices:
+        if not lifts[v]:
+            continue
+        for u in vertices:
+            paths = algebra.basis_paths_between(v, u)
+            if not paths:
+                continue
+            # column (g, k): the k-th residue path v -> u applied to the g-th lift at v
+            actions = np.stack([m.path_action(algebra.basis[bi])[:, lifts[v]] for bi in paths], axis=2)
+            width = len(lifts[v]) * len(paths)
+            blocks[u][:, offsets[u] : offsets[u] + width] = actions.reshape(m.dims[u], width)
+            offsets[u] += width
     morphism = QMorphism(cover, m, blocks)
     if not morphism.is_surjective():
         raise RuntimeError("projective cover failed to surject")
-    return morphism, tuple(v for v, _ in generators)
+    return morphism, generators
 
 
 def injective_envelope(m: QModule) -> QMorphism:
@@ -148,38 +151,57 @@ def injective_envelope(m: QModule) -> QMorphism:
 
 
 def projective_resolution(m: QModule, length: int) -> Resolution:
-    """Minimal projective resolution computed out to the given degree.
+    """Minimal projective resolution computed out to at least the given degree.
 
-    A cached resolution is reused when it is long enough; otherwise the
-    longer one computed here replaces it.
+    A cached resolution is reused when it is long enough; otherwise it is
+    extended from its last step, so its terms and syzygies keep their
+    identity (and the hom and Ext memo entries keyed on them stay valid).
     """
-    cached = memo(m.algebra, "resolution", m, lambda: _projective_resolution_compute(m, length))
-    if cached.length_computed() < length:
-        cached = m.algebra._memo["resolution"][m] = _projective_resolution_compute(m, length)
-    return cached
+    res = memo(m.algebra, "resolution", m, lambda: _resolution_start(m))
+    if res.length_computed() < length:
+        res = m.algebra._memo["resolution"][m] = _extend(res, length)
+    return res
 
 
-def _projective_resolution_compute(m: QModule, length: int) -> Resolution:
+def _resolution_start(m: QModule) -> Resolution:
     augmentation, gens = _projective_cover(m)
-    terms = [augmentation.source]
-    generators = [gens]
-    differentials: list[QMorphism] = []
-    syzygies: list[tuple[QModule, QMorphism]] = []
-    prev_cover = augmentation
-    for _ in range(length):
-        syz, incl = kernel(prev_cover)
+    return Resolution(m, "projective", (augmentation.source,), (), augmentation, (), (gens,))
+
+
+def _extend(res: Resolution, length: int) -> Resolution:
+    """``res`` continued out to ``length`` steps.
+
+    The next syzygy is the kernel of the last map d_k (the augmentation
+    for k = 0).  It equals the kernel of the cover P_k ->> Omega^k, since
+    d_k is that cover followed by an injection, which leaves the row
+    space, and so the kernel basis, unchanged.  A zero syzygy is its own
+    cover, and from there on every syzygy, term and map is the same zero
+    module and zero map.
+    """
+    terms, generators = list(res.terms), list(res.generators)
+    differentials, syzygies = list(res.differentials), list(res.syzygies)
+    last = differentials[-1] if differentials else res.augmentation
+    while len(terms) <= length:
+        if terms[-1].total_dim:
+            syz, incl = kernel(last)
+            if syz.total_dim:
+                cover, gens = _projective_cover(syz)
+                last = incl.compose(cover)
+            else:
+                last, gens = incl, ()
+        else:
+            syz = terms[-1]
+            if last.target is not syz:
+                last = zero_morphism(syz, syz)
+            incl, gens = last, ()
         syzygies.append((syz, incl))
-        next_cover, gens = _projective_cover(syz)
-        differentials.append(incl.compose(next_cover))
-        terms.append(next_cover.source)
+        differentials.append(last)
+        terms.append(last.source)
         generators.append(gens)
-        prev_cover = next_cover
-    return Resolution(
-        target=m,
-        kind="projective",
+    return replace(
+        res,
         terms=tuple(terms),
         differentials=tuple(differentials),
-        augmentation=augmentation,
         syzygies=tuple(syzygies),
         generators=tuple(generators),
     )
@@ -189,9 +211,9 @@ def injective_resolution(m: QModule, length: int) -> Resolution:
     """Minimal injective resolution (dual route).
 
     For the injective kind the arrows reverse: ``augmentation`` is the
-    coaugmentation m -> terms[0] and ``differentials[i]`` maps
-    terms[i-1] -> terms[i]; ``syzygies[i]`` holds the i-th cosyzygy with
-    the projection of terms[i-1] onto it.
+    coaugmentation m -> terms[0], ``differentials[k-1]`` maps
+    terms[k-1] -> terms[k], and ``syzygies[k-1]`` holds the k-th
+    cosyzygy with the projection of terms[k-1] onto it.
     """
     res = projective_resolution(dualize(m), length)
     return Resolution(

@@ -7,14 +7,16 @@ image bases depend only on the input, never on a seed.
 
 Entries never overflow int64.  A product of two canonical entries is at
 most (p-1)**2, so ``PrimeField`` rejects every p with (p-1)**2 above
-2**63 - 1.  ``matmul`` sums k such products before reducing, so it
-raises ``PreconditionFailed`` for an inner dimension k with k * (p-1)**2
-above 2**63 - 1 (at p = 32003, k may reach about 9 * 10**9).
-Elimination reduces after every row operation, so it needs only the
-first bound.
+2**63 - 1.  ``matmul`` sums k such products before reducing; when
+k * (p-1)**2 would pass 2**63 - 1 (at p = 32003, k above about
+9 * 10**9) it sums the products over inner blocks of ``max_inner``
+instead, reducing each block mod p.  Elimination reduces after every
+row operation, so it needs only the first bound.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -101,11 +103,22 @@ class PrimeField:
         if a.shape[1] != b.shape[0]:
             raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
         if a.shape[1] > self.max_inner:
-            raise PreconditionFailed(
-                f"inner dimension {a.shape[1]} overflows int64 at p={self.p} (at most {self.max_inner})"
-            )
+            return self.blockwise_sum(a.shape[1], lambda s: a[:, s] @ b[s])
         out = a @ b
         return np.mod(out, self.p, out=out)
+
+    def blockwise_sum(self, k: int, product: Callable[[slice], np.ndarray]) -> np.ndarray:
+        """sum_t product(t) mod p over the inner blocks t of range(k) of length ``max_inner``.
+
+        ``product(t)`` sums the products of residues at the inner indices
+        in the slice t, so it stays within int64; each block is reduced
+        before it is added.
+        """
+        total = None
+        for start in range(0, k, self.max_inner):
+            part = np.mod(product(slice(start, start + self.max_inner)), self.p)
+            total = part if total is None else np.mod(total + part, self.p)
+        return total
 
     def inv_scalar(self, a: int) -> int:
         a = int(a) % self.p

@@ -454,13 +454,7 @@ def dualize_morphism(f: QMorphism) -> QMorphism:
 
 
 def direct_sum(algebra: BoundQuiverAlgebra, modules: list[QModule]) -> QModule:
-    return direct_sum_with_maps(algebra, modules)[0]
-
-
-def direct_sum_with_maps(
-    algebra: BoundQuiverAlgebra, modules: list[QModule]
-) -> tuple[QModule, list[QMorphism], list[QMorphism]]:
-    """(sum, injections, projections) with block-diagonal arrow maps."""
+    """The sum of ``modules`` with block-diagonal arrow maps, in the given order."""
     field = algebra.field
     for m in modules:
         if m.algebra is not algebra:
@@ -476,14 +470,22 @@ def direct_sum_with_maps(
             ro += t
             co += s
         maps[a.name] = mat
-    total = QModule(algebra, dims, maps)
+    return QModule(algebra, dims, maps)
+
+
+def direct_sum_with_maps(
+    algebra: BoundQuiverAlgebra, modules: list[QModule]
+) -> tuple[QModule, list[QMorphism], list[QMorphism]]:
+    """(sum, injections, projections); the sum is ``direct_sum(algebra, modules)``."""
+    field = algebra.field
+    total = direct_sum(algebra, modules)
     injections, projections = [], []
     offsets = {v: 0 for v in algebra.quiver.vertices}
     for m in modules:
         inj_blocks, proj_blocks = {}, {}
         for v in algebra.quiver.vertices:
             o, d = offsets[v], m.dims[v]
-            inj = field.zeros(dims[v], d)
+            inj = field.zeros(total.dims[v], d)
             inj[o : o + d, :] = field.identity(d)
             inj_blocks[v] = inj
             proj_blocks[v] = inj.T.copy()
@@ -493,15 +495,15 @@ def direct_sum_with_maps(
     return total, injections, projections
 
 
+def _incoming(m: QModule, v: str) -> np.ndarray:
+    """The images of all arrows into v side by side; their span is rad_v."""
+    incoming = [m.maps[a.name] for a in m.algebra.quiver.arrows_to[v]]
+    return np.hstack(incoming) if incoming else m.algebra.field.zeros(m.dims[v], 0)
+
+
 def _radical_bases(m: QModule) -> dict[str, np.ndarray]:
     """Per vertex, a basis of the span of all incoming arrow images."""
-    field = m.algebra.field
-    bases = {}
-    for v in m.algebra.quiver.vertices:
-        incoming = [m.maps[a.name] for a in m.algebra.quiver.arrows_to[v]]
-        stacked = np.hstack(incoming) if incoming else field.zeros(m.dims[v], 0)
-        bases[v] = field.image_basis(stacked)
-    return bases
+    return {v: m.algebra.field.image_basis(_incoming(m, v)) for v in m.algebra.quiver.vertices}
 
 
 def radical_submodule(m: QModule) -> tuple[QModule, QMorphism]:
@@ -512,6 +514,26 @@ def radical_submodule(m: QModule) -> tuple[QModule, QMorphism]:
 def top_quotient(m: QModule) -> tuple[QModule, QMorphism]:
     """top M = M / rad M with its projection."""
     return quotient_by_images(m, _radical_bases(m))
+
+
+def top_lifts(m: QModule) -> dict[str, list[int]]:
+    """Per vertex v, the j with e_j outside rad_v + span(e_<j), increasing.
+
+    These unit vectors lift a basis of (top M)_v: they are the pivot
+    columns of ``[rad_v | I]`` past rad_v, so they are exactly the section
+    of ``top_quotient``'s projection that elimination picks (its pivot
+    columns, on which the projection is the identity).
+    """
+    field = m.algebra.field
+    lifts = {}
+    for v, d in m.dims.items():
+        rad = _incoming(m, v)
+        if not d or not rad.shape[1]:
+            lifts[v] = list(range(d))
+            continue
+        _, pivots, _ = field.rref(np.hstack([rad, field.identity(d)]))
+        lifts[v] = [c - rad.shape[1] for c in pivots if c >= rad.shape[1]]
+    return lifts
 
 
 def socle_submodule(m: QModule) -> tuple[QModule, QMorphism]:
@@ -626,8 +648,9 @@ class _EndData:
         """Column c: the coordinates of the product (a[:, c]) o (b[:, c])."""
         n = len(self.basis)
         by_b = self.field.matmul(self.table.reshape(n * n, n), b).reshape(n, n, -1)
-        # each entry sums n products of two residues: within the bound the
-        # matmul above has just checked for inner dimension n
+        # each entry sums n products of two residues, as a matmul with inner dimension n does
+        if n > self.field.max_inner:
+            return self.field.blockwise_sum(n, lambda s: np.einsum("kic,ic->kc", by_b[:, s], a[s]))
         return np.mod(np.einsum("kic,ic->kc", by_b, a), self.field.p)
 
     def power(self, a: np.ndarray, exponent: int) -> np.ndarray:

@@ -71,6 +71,25 @@ def kronecker_modules(field):
 
 
 @pytest.fixture(scope="session")
+def a7_intervals(field):
+    """The 28 interval modules of the path algebra of 1 -> 2 -> ... -> 7.
+
+    The interval [i, j] has F_p at vertices i..j and identity maps
+    between them; listed by i, then j, so [v, 7] is P(v).
+    """
+    vertices = [str(v) for v in range(1, 8)]
+    quiver = Quiver(vertices, [(f"a{v}", v, w) for v, w in zip(vertices, vertices[1:])])
+    algebra = build_algebra(quiver, [], field=field, name="A7")
+    intervals = []
+    for i in range(7):
+        for j in range(i, 7):
+            inside = vertices[i : j + 1]
+            maps = {f"a{v}": [[1]] for v in inside[:-1]}
+            intervals.append(QModule(algebra, {v: 1 for v in inside}, maps))
+    return intervals
+
+
+@pytest.fixture(scope="session")
 def workspace():
     return load_workspace()
 

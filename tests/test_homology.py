@@ -5,19 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quiverglue import PrimeField, QModule, Quiver, build_algebra
+from quiverglue import QModule
 from quiverglue import homology as hgy
 from quiverglue.modcat import (
     cokernel,
     direct_sum,
+    direct_sum_with_maps,
     dualize,
     hom_basis,
     hom_dim,
     identity_morphism,
     injective,
     is_isomorphic,
+    kernel,
     projective,
+    radical_submodule,
     simple,
+    top_quotient,
     zero_morphism,
 )
 
@@ -210,8 +214,6 @@ def test_ext_duality_specific_pair(bound_a3):
 
 
 def test_resolution_minimality_image_in_radical(bound_a3):
-    from quiverglue.modcat import radical_submodule
-
     res = hgy.projective_resolution(simple(bound_a3, "3"), 2)
     field = bound_a3.field
     for k, diff in enumerate(res.differentials):
@@ -270,14 +272,130 @@ def test_euler_form_on_random_kronecker_modules(kronecker_modules):
     assert_euler_form(kronecker_modules)
 
 
-def test_euler_form_on_the_a7_interval_universe():
-    vertices = [str(v) for v in range(1, 8)]
-    quiver = Quiver(vertices, [(f"a{v}", v, w) for v, w in zip(vertices, vertices[1:])])
-    algebra = build_algebra(quiver, [], field=PrimeField(101), name="A7")
-    intervals = []
-    for i in range(7):
-        for j in range(i, 7):
-            inside = vertices[i : j + 1]
-            maps = {f"a{v}": [[1]] for v in inside[:-1]}
-            intervals.append(QModule(algebra, {v: 1 for v in inside}, maps))
-    assert_euler_form(intervals)
+def test_euler_form_on_the_a7_interval_universe(a7_intervals):
+    assert_euler_form(a7_intervals)
+
+
+def test_resolution_indices_follow_the_degrees(workspace, bound_a3):
+    # syzygies[k-1] is Omega^k inside terms[k-1]; differentials[k-1] is d_k: terms[k] -> terms[k-1]
+    for m in [simple(bound_a3, "3"), *workspace.universe_b.modules()]:
+        res = hgy.projective_resolution(m, 3)
+        assert res.augmentation.source is res.terms[0] and res.augmentation.target is m
+        for i in range(1, 4):
+            assert hgy.syzygy(m, i) is res.syzygies[i - 1][0]
+            assert res.syzygies[i - 1][1].target is res.terms[i - 1]
+            assert res.differentials[i - 1].source is res.terms[i]
+            assert res.differentials[i - 1].target is res.terms[i - 1]
+
+
+def reference_cover(m):
+    """The cover as built through the top quotient: (blocks, generators).
+
+    Each generator is the section of the top projection that
+    ``solve_matrix`` picks; the summands come with their injections.
+    """
+    algebra, field = m.algebra, m.algebra.field
+    top, proj = top_quotient(m)
+    generators = [(v, col) for v in algebra.quiver.vertices for col in range(top.dims[v])]
+    cover, injections, _ = direct_sum_with_maps(algebra, [projective(algebra, v) for v, _ in generators])
+    sections = {v: field.solve_matrix(proj.blocks[v], field.identity(top.dims[v])) for v in m.dims}
+    blocks = {v: field.zeros(m.dims[v], cover.dims[v]) for v in m.dims}
+    for inj, (v, col) in zip(injections, generators):
+        for u in algebra.quiver.vertices:
+            for k, bi in enumerate(algebra.basis_paths_between(v, u)):
+                column = int(np.flatnonzero(inj.blocks[u][:, k])[0])
+                blocks[u][:, column] = field.matmul(m.path_action(algebra.basis[bi]), sections[v][:, [col]])[:, 0]
+    return blocks, tuple(v for v, _ in generators)
+
+
+def test_cover_generators_are_the_top_section(workspace, a7_intervals, kronecker_modules):
+    universes = (workspace.universe_a, workspace.universe_b, workspace.universe_c)
+    modules = [m for u in universes for m in u.modules()] + a7_intervals + kronecker_modules
+    # several generators at a vertex with a nonzero radical: the order of the lifts matters
+    s2 = simple(kronecker_modules[0].algebra, "2")
+    modules += [direct_sum(m.algebra, [m, s2, s2]) for m in kronecker_modules]
+    for m in modules:
+        for x in (m, hgy.syzygy(m, 1)):
+            cover, generators = hgy._projective_cover(x)
+            blocks, expected = reference_cover(x)
+            assert generators == expected
+            assert all(np.array_equal(cover.blocks[v], blocks[v]) for v in x.dims), x
+
+
+def reference_resolution(m, length):
+    """Terms, differentials and syzygies from covers and their kernels, step by step."""
+    cover = hgy.projective_cover(m)
+    terms, differentials, syzygies = [cover.source], [], []
+    for _ in range(length):
+        syz, incl = kernel(cover)
+        cover = hgy.projective_cover(syz)
+        syzygies.append((syz, incl))
+        differentials.append(incl.compose(cover))
+        terms.append(cover.source)
+    return terms, differentials, syzygies
+
+
+def same_map(f, g):
+    return all(np.array_equal(f.blocks[v], g.blocks[v]) for v in f.blocks)
+
+
+def test_extending_a_resolution_keeps_its_objects(workspace, bound_a3):
+    for m in [simple(bound_a3, "3"), *workspace.universe_b.modules()]:
+        m = QModule(m.algebra, m.dims, m.maps)  # a fresh object: cold resolution memo
+        short = hgy.projective_resolution(m, 2)
+        long = hgy.projective_resolution(m, 3)
+        assert long.augmentation is short.augmentation
+        for old, new in [(short.terms, long.terms), (short.differentials, long.differentials)]:
+            assert all(a is b for a, b in zip(old, new))
+        assert all(a is b and f is g for (a, f), (b, g) in zip(short.syzygies, long.syzygies))
+        # the same as resolving a rebuilt module to length 3 at once, by kernels of covers
+        terms, differentials, syzygies = reference_resolution(QModule(m.algebra, m.dims, m.maps), 3)
+        assert all(a.equal_presentation(b) for a, b in zip(long.terms, terms))
+        assert all(same_map(f, g) for f, g in zip(long.differentials, differentials))
+        for (a, f), (b, g) in zip(long.syzygies, syzygies):
+            assert a.equal_presentation(b) and same_map(f, g)
+
+
+def test_no_cover_is_built_past_a_zero_syzygy(a7_intervals, monkeypatch):
+    covered = []
+    cover = hgy._projective_cover
+
+    def counting_cover(m):
+        covered.append(m)
+        return cover(m)
+
+    monkeypatch.setattr(hgy, "_projective_cover", counting_cover)
+    for m in a7_intervals:
+        m = QModule(m.algebra, m.dims, m.maps)  # a fresh object: cold resolution memo
+        covered.clear()
+        d = hgy.pd(m)
+        # one cover for m and one per nonzero syzygy, however far pd resolves (cap + 1 = 9)
+        assert len(covered) == d + 1
+        assert covered[0] is m and all(x.total_dim for x in covered)
+
+
+def assert_resolution_invariants(m, length=3):
+    """d_k d_(k+1) = 0, exactness at each vertex, and images inside the radical."""
+    field = m.algebra.field
+    res = hgy.projective_resolution(m, length)
+    maps = [res.augmentation, *res.differentials]
+    assert res.augmentation.is_surjective()
+    for k in range(length):
+        assert maps[k].compose(maps[k + 1]).is_zero()
+        # ker d_k = im d_(k+1) at every vertex of P_k
+        for v, d in res.terms[k].dims.items():
+            assert field.rank(maps[k].blocks[v]) + field.rank(maps[k + 1].blocks[v]) == d
+    for k, diff in enumerate(res.differentials):
+        _, rad = radical_submodule(res.terms[k])
+        for v in rad.blocks:
+            assert field.rank(np.hstack([rad.blocks[v], diff.blocks[v]])) == field.rank(rad.blocks[v])
+
+
+def test_resolution_invariants_on_hereditary_algebras(a7_intervals, kronecker_modules):
+    for m in a7_intervals + [m for m in kronecker_modules if m.total_dim]:
+        assert_resolution_invariants(m)
+        assert hgy.pd(m) <= 1
+    # P(v) is the interval [v, 7], the last one listed for each v
+    last = {m.dim_vector().index(1): m for m in a7_intervals}
+    for m in a7_intervals:
+        assert (hgy.pd(m) == 0) == (m is last[m.dim_vector().index(1)])

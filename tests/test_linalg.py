@@ -122,13 +122,17 @@ def test_prime_guard_rejects_overflowing_modulus():
 
 
 def test_matmul_guard_bounds_inner_dimension():
-    # (p-1)^2 fits in int64 here but 2 (p-1)^2 does not
-    p = 2147483659
-    field = PrimeField(p)
-    assert field.max_inner == 1
-    assert field.matmul(field.mat([[p - 1]]), field.mat([[p - 1]]))[0, 0] == 1
-    with pytest.raises(PreconditionFailed):
-        field.matmul(field.mat([[p - 1, p - 1]]), field.mat([[p - 1], [p - 1]]))
+    # (p-1)^2 fits in int64 for both primes but 2 (p-1)^2 does not, so longer
+    # sums go block by block; 3037000493 is close to the largest admissible prime
+    rng = np.random.default_rng(5)
+    for p in (2147483659, 3037000493):
+        field = PrimeField(p)
+        assert field.max_inner == 1
+        assert field.matmul(field.mat([[p - 1]]), field.mat([[p - 1]]))[0, 0] == 1
+        a = np.concatenate([np.full((2, 3), p - 1), rng.integers(0, p, size=(2, 4))], axis=1)
+        b = np.concatenate([np.full((3, 2), p - 1), rng.integers(0, p, size=(4, 2))], axis=0)
+        exact = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+        assert field.matmul(field.mat(a), field.mat(b)).tolist() == exact
     # far below the bound, long sums stay exact
     f = PrimeField(32003)
     row = np.full((1, 5000), 32002, dtype=np.int64)

@@ -153,6 +153,23 @@ def test_dualize_morphism_contravariant(a2):
     assert df.target.equal_presentation(dualize(p2))
 
 
+def test_direct_sum_builds_only_the_module(workspace, monkeypatch):
+    modules = workspace.universe_b.modules()[:4]
+    algebra = workspace.universe_b.algebra
+    with_maps = modcat.direct_sum_with_maps(algebra, modules)[0]
+    built = []
+    init = QMorphism.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QMorphism, "__init__", counting_init)
+    total = direct_sum(algebra, modules)
+    assert not built
+    assert total.equal_presentation(with_maps)
+
+
 def test_direct_sum_and_iso(a2):
     p1, s1, s2 = projective(a2, "1"), simple(a2, "1"), simple(a2, "2")
     left = direct_sum(a2, [p1, s1])
@@ -539,9 +556,11 @@ def test_split_does_not_depend_on_the_end_basis(kronecker_regular, monkeypatch):
         assert_summands(split_summands(direct_sum(u.algebra, [s1, s2, s1])), [s2, s1, s1])
 
 
-@pytest.mark.parametrize("kronecker_regular", [100000007], indirect=True)
+@pytest.mark.parametrize("kronecker_regular", [100000007, 3037000493], indirect=True)
 def test_decompose_at_a_large_prime_allocates_little(kronecker_regular):
-    # nothing in the split scales with p; one int64 per residue would be 800 MB here
+    # nothing in the split scales with p; one int64 per residue would be 800 MB at 100000007.
+    # At 3037000493, (p-1)^2 just fits in int64 and max_inner is 1, so every
+    # product of End(M) (matmul and the einsum in _EndData.mul) is summed block by block
     u = kronecker_regular
     m = direct_sum(u.algebra, [u, simple(u.algebra, "1"), u])
     tracemalloc.start()
