@@ -112,12 +112,14 @@ class PrimeField:
 
         ``product(t)`` sums the products of residues at the inner indices
         in the slice t, so it stays within int64; each block is reduced
-        before it is added.
+        before it is added.  For k <= ``max_inner`` this is one product and
+        one reduction.
         """
-        total = None
-        for start in range(0, k, self.max_inner):
-            part = np.mod(product(slice(start, start + self.max_inner)), self.p)
-            total = part if total is None else np.mod(total + part, self.p)
+        step = self.max_inner
+        total = np.mod(product(slice(0, step)), self.p)
+        for start in range(step, k, step):
+            total += np.mod(product(slice(start, start + step)), self.p)
+            np.mod(total, self.p, out=total)
         return total
 
     def inv_scalar(self, a: int) -> int:

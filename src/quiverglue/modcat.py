@@ -649,9 +649,7 @@ class _EndData:
         n = len(self.basis)
         by_b = self.field.matmul(self.table.reshape(n * n, n), b).reshape(n, n, -1)
         # each entry sums n products of two residues, as a matmul with inner dimension n does
-        if n > self.field.max_inner:
-            return self.field.blockwise_sum(n, lambda s: np.einsum("kic,ic->kc", by_b[:, s], a[s]))
-        return np.mod(np.einsum("kic,ic->kc", by_b, a), self.field.p)
+        return self.field.blockwise_sum(n, lambda s: np.einsum("kic,ic->kc", by_b[:, s], a[s]))
 
     def power(self, a: np.ndarray, exponent: int) -> np.ndarray:
         """Column c: the coordinates of (a[:, c])^exponent, by square and multiply."""
