@@ -16,6 +16,17 @@ property (one rank test per U_j) and right-minimality by the
 endomorphism criterion (every psi with f o psi = 0 is radical).  Left
 approximations are the duals over the opposite algebra.
 
+What does not depend on X is built once per class, that is per tuple of
+member objects, and memoized on the algebra (``_ApproxClass``): the hom
+dimensions between members, the trace form of each End(U_i) and its
+kernel, and, per target U_j and vertex v, the stacks of every
+Hom(U_i, U_j) side by side, so that the composites
+Hom(U_j, X) o Hom(U_i, U_j) of all i come from one product per (j, v).
+Only the members with Hom(U_i, X) != 0 enter a call; the slot rref and
+both certificates run on every call.  Left approximations and the wedge
+test reuse the class of the duals, since ``dualize`` returns the same
+object each time.
+
 The preenvelope iteration for a tilting module T descends in degree:
 killing Ext^j(T, -) with a universal extension by the (j-1)-st syzygy of
 T cannot recreate any higher degree, because Ext^i(T, Omega^m T) = 0 for
@@ -24,17 +35,18 @@ i > m.  Every emitted sequence carries recomputed Ext certificates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import homology as hgy
+from .algebra import memo
 from .errors import KernelNotInV, NotSurjective, NotTilting, PreconditionFailed
 from .modcat import (
     DEFAULT_SEED,
     QModule,
     QMorphism,
-    _block_products,
     _stacks,
     _trace_pairing,
     cokernel,
@@ -85,6 +97,79 @@ def in_add(m: QModule, reps: list[QModule], seed: int = DEFAULT_SEED) -> bool:
 # -- minimal approximations -------------------------------------------------
 
 
+class _ApproxClass:
+    """The class add(U_1, ..., U_r) as minimal right approximations read it.
+
+    Built once per tuple of members (``_approx_class``), it holds what does
+    not depend on the approximated module X: the dimension of every
+    Hom(U_i, U_j), the trace form of each End(U_i) and its kernel (the
+    radical), and, per target U_j and vertex v, the stacks of
+    Hom(U_i, U_j) for every i side by side.  One product of Hom(U_j, X)
+    with that side-by-side stack gives the composites
+    Hom(U_j, X) o Hom(U_i, U_j) for every i at v.
+    """
+
+    def __init__(self, field, members: tuple[QModule, ...]):
+        self.field = field
+        self.members = members
+        r = range(len(members))
+        homs = {(i, j): hom_basis(members[i], members[j]) for i in r for j in r}
+        self.sizes = {pair: len(basis) for pair, basis in homs.items()}
+        stacks = {(i, j): _stacks(members[i], members[j], basis) for (i, j), basis in homs.items()}
+        self.gram = [_trace_pairing(field, stacks[i, i], stacks[i, i]) for i in r]
+        self.radical = [field.kernel_basis(g) for g in self.gram]
+        # side[j][v]: row c of U_j at v, columns (i, g, s) with entry (c, s)
+        # of the g-th map U_i -> U_j at v; member i starts at offsets[j][v][i]
+        self.side, self.offsets = [], []
+        for j, target in enumerate(members):
+            side, offsets = {}, {}
+            for v, d in target.dims.items():
+                parts = [
+                    block.transpose(1, 0, 2).reshape(d, block.shape[0] * block.shape[2])
+                    for block in (stacks[i, j][v] for i in r)
+                ]
+                offsets[v] = list(itertools.accumulate((part.shape[1] for part in parts), initial=0))
+                side[v] = np.concatenate(parts, axis=1)
+            self.side.append(side)
+            self.offsets.append(offsets)
+
+    def composites(self, j: int, left: dict[str, np.ndarray], live: list[int]) -> dict[int, np.ndarray]:
+        """Per i in ``live``, the composites Hom(U_j, X) o Hom(U_i, U_j).
+
+        ``left`` stacks a basis of Hom(U_j, X).  Column (phi, g) of entry i
+        is phi o g flattened like ``QMorphism.to_vector``, as the
+        ``_block_products`` of each vertex would give it; a vertex where X
+        or U_i is zero contributes no rows.
+        """
+        n = next(iter(left.values())).shape[0]
+        pieces = {i: [] for i in live}
+        for v, phi in left.items():
+            _, t, m = phi.shape
+            if not t:
+                continue
+            side = self.side[j][v]
+            if m and side.shape[1]:
+                product = self.field.matmul(phi.reshape(n * t, m), side)
+            else:
+                product = np.zeros((n * t, side.shape[1]), dtype=np.int64)
+            for i in live:
+                k, s = self.sizes[i, j], self.members[i].dims[v]
+                if s:
+                    start = self.offsets[j][v][i]
+                    block = product[:, start : start + k * s].reshape(n, t, k, s)
+                    pieces[i].append(block.transpose(1, 3, 0, 2).reshape(t * s, n * k))
+        return {
+            i: np.concatenate(pieces[i]) if pieces[i] else np.zeros((0, n * self.sizes[i, j]), dtype=np.int64)
+            for i in live
+        }
+
+
+def _approx_class(algebra, add_list: list[QModule]) -> _ApproxClass:
+    """The class of ``add_list``, built once per tuple of member objects."""
+    members = tuple(add_list)
+    return memo(algebra, "approx_class", members, lambda: _ApproxClass(algebra.field, members))
+
+
 def minimal_right_approximation(x: QModule, add_list: list[QModule]) -> QMorphism:
     """The right-minimal right add(add_list)-approximation f: U0 -> x.
 
@@ -94,48 +179,37 @@ def minimal_right_approximation(x: QModule, add_list: list[QModule]) -> QMorphis
     returning a map that is not the minimal approximation.
     """
     field = x.algebra.field
-    stacks: dict[tuple[QModule, QModule], dict[str, np.ndarray]] = {}
-
-    def stack(source: QModule, target: QModule) -> dict[str, np.ndarray]:
-        if (source, target) not in stacks:
-            stacks[source, target] = _stacks(source, target, hom_basis(source, target))
-        return stacks[source, target]
-
-    def size(i: int, target: QModule) -> int:
-        return next(iter(stack(add_list[i], target).values())).shape[0]
-
-    live = [i for i in range(len(add_list)) if size(i, x)]
+    cls = _approx_class(x.algebra, add_list)
+    homs = [hom_basis(u, x) for u in add_list]
+    to_x = [_stacks(u, x, basis) for u, basis in zip(add_list, homs)]
+    x_sizes = [len(basis) for basis in homs]
+    live = [i for i in range(len(add_list)) if x_sizes[i]]
     # composites[i, j], column (phi, g): phi o g for phi in Hom(U_j, X) and
     # g in Hom(U_i, U_j), flattened like QMorphism.to_vector
     composites = {}
-    for i in live:
-        for j in live:
-            left, right = stack(add_list[j], x), stack(add_list[i], add_list[j])
-            composites[i, j] = np.concatenate([_block_products(field, left[v], right[v]) for v in left])
+    for j in live:
+        for i, block in cls.composites(j, to_x[j], live).items():
+            composites[i, j] = block
 
     # phi_k is a slot when it leaves rad_U(U_i, X) + (earlier phi) o End(U_i);
     # that span is End(U_i)-stable, so block k of phi_k o End(U_i) carries a
     # pivot exactly then
     slots: list[tuple[int, int]] = []
-    gram = {}  # the trace form of End(U_i); its kernel is the radical
     for i in live:
-        end = stack(add_list[i], add_list[i])
-        n = size(i, add_list[i])
+        n = cls.sizes[i, i]
         own = composites[i, i]
-        gram[i] = _trace_pairing(field, end, end)
-        rad = field.kernel_basis(gram[i])
-        own_rad = field.matmul(own.reshape(-1, n), rad).reshape(own.shape[0], -1)
+        own_rad = field.matmul(own.reshape(-1, n), cls.radical[i]).reshape(own.shape[0], -1)
         span = np.hstack([composites[i, j] for j in live if j != i] + [own_rad, own])
         _, pivots, _ = field.rref(span)
         start = span.shape[1] - own.shape[1]
         slots += [(i, k) for k in sorted({(c - start) // n for c in pivots if c >= start})]
 
     for j in live:
-        widths = [size(j, add_list[t]) for t, _ in slots]
+        widths = [cls.sizes[j, t] for t, _ in slots]
         cols = [composites[j, t][:, k * w : (k + 1) * w] for (t, k), w in zip(slots, widths)]
         probe = np.hstack(cols) if cols else field.zeros(composites[j, j].shape[0], 0)
         null = field.kernel_basis(probe)
-        if probe.shape[1] - null.shape[1] != size(j, x):
+        if probe.shape[1] - null.shape[1] != x_sizes[j]:
             raise PreconditionFailed(
                 f"maps from add_list[{j}] do not factor through the approximation; "
                 "are the members pairwise non-isomorphic indecomposables?"
@@ -146,7 +220,7 @@ def minimal_right_approximation(x: QModule, add_list: list[QModule]) -> QMorphis
         # in 1..dim U0 < p; radical diagonal blocks would make it 0
         row = 0
         for (t, _), w in zip(slots, widths):
-            if t == j and np.any(field.matmul(gram[j], null[row : row + w])):
+            if t == j and np.any(field.matmul(cls.gram[j], null[row : row + w])):
                 raise PreconditionFailed(
                     f"a non-radical endomorphism of the source kills the approximation at add_list[{j}]; "
                     "are the members pairwise non-isomorphic indecomposables?"
@@ -156,7 +230,7 @@ def minimal_right_approximation(x: QModule, add_list: list[QModule]) -> QMorphis
     if not slots:
         return zero_morphism(zero_module(x.algebra), x)
     u0 = direct_sum(x.algebra, [add_list[i] for i, _ in slots])
-    blocks = {v: np.hstack([stack(add_list[i], x)[v][k] for i, k in slots]) for v in x.dims}
+    blocks = {v: np.hstack([to_x[i][v][k] for i, k in slots]) for v in x.dims}
     return QMorphism(u0, x, blocks)
 
 

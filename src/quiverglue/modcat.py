@@ -15,6 +15,20 @@ and the whole kernel K is certified by one product ``system @ K == 0``
 then built unchecked, with read-only blocks, because the hom memo shares
 them.
 
+The modules that ``kernel``, ``image`` and ``cokernel`` build are shared:
+``submodule_from_bases`` and ``quotient_by_images`` return the algebra's
+one module per presentation (dims and canonical maps).  The memo key is
+the dimension vector and a hash of the map bytes, and every hit is
+checked for equal dims and maps, so a collision only costs the sharing.
+Sharing is exact, not up to isomorphism: modules are immutable, and
+every memoized answer (Hom basis, resolution, Ext, split) depends only
+on the presentation, so equal presentations get identical answers.  The
+first syzygies [j+1, n] of all intervals [i, j] over a line, for
+example, are one object with one Hom memo row.  Each call still builds
+and validates its own inclusion or projection.  ``direct_sum`` is cached
+per tuple of summands, so covers with the same generators share one
+term.  Modules built directly with ``QModule`` are never shared.
+
 Decomposition into indecomposables works through the endomorphism
 algebra: the radical is the kernel of the trace form (valid because the
 field characteristic exceeds the total dimension), and m is
@@ -28,15 +42,16 @@ element a lifts a non-scalar Frobenius-fixed element of S when S is
 commutative; only a non-commutative S falls back to a seeded search for
 a.  The multiset of summands is seed-independent by Krull-Schmidt.
 
-End(M) is built once per splitting step as a certified table of
-structure constants T[k, i, j] (the b_k-coordinate of b_i o b_j): all
-products of basis elements are formed in one contraction per vertex and
-mapped to coordinates by one left inverse of the basis matrix, and the
-batch is certified by mapping the coordinates back.  The trace form,
-commutators, powers and idempotents are then computed on coordinates.
-A morphism is built (and validated) only where one leaves the algebra:
-the idempotents a split runs along.  The End basis is not memoized,
-since it serves only the transient step.
+A splitting step first solves for the End basis and stops when it has
+one element (End(m) = F_p).  Only a larger End(M) is built, once per
+step, as a certified table of structure constants T[k, i, j] (the
+b_k-coordinate of b_i o b_j): all products of basis elements are formed
+in one contraction per vertex and mapped to coordinates by one left
+inverse of the basis matrix, and the batch is certified by mapping the
+coordinates back.  The trace form, commutators, powers and idempotents
+are then computed on coordinates.  A morphism is built (and validated)
+only where one leaves the algebra: the idempotents a split runs along.
+The End basis is not memoized, since it serves only the transient step.
 """
 
 from __future__ import annotations
@@ -303,11 +318,35 @@ def hom_dim(source: QModule, target: QModule) -> int:
 # -- sub/quotient machinery ----------------------------------------------
 
 
+def _fingerprint(dim_vector: tuple[int, ...], arrows: list[np.ndarray]) -> tuple:
+    """The dimension vector and a hash of the map bytes: no second copy of the maps."""
+    return dim_vector, hash(b"".join(a.tobytes() for a in arrows))
+
+
+def _shared_module(algebra: BoundQuiverAlgebra, dims: dict[str, int], maps: dict[str, np.ndarray]) -> QModule:
+    """The algebra's one module with this presentation (dims and canonical maps).
+
+    Keyed by ``_fingerprint``; a hit is checked for equal dims and equal
+    maps, and on a mismatch the module is not shared.
+    """
+    dim_vector = tuple(int(dims.get(v, 0)) for v in algebra.quiver.vertices)
+    arrows = [maps[a.name] for a in algebra.quiver.arrows]
+    key = _fingerprint(dim_vector, arrows)
+    shared = memo(algebra, "module", key, lambda: QModule(algebra, dims, maps))
+    if shared.dim_vector() == dim_vector and all(
+        np.array_equal(shared.maps[a.name], m) for a, m in zip(algebra.quiver.arrows, arrows)
+    ):
+        return shared
+    return QModule(algebra, dims, maps)
+
+
 def submodule_from_bases(m: QModule, bases: dict[str, np.ndarray]) -> tuple[QModule, QMorphism]:
     """The submodule spanned vertex-wise by given independent columns.
 
     The spans must be arrow-stable; if not, coordinate solving fails and
-    this raises, which is the desired loud failure.
+    this raises, which is the desired loud failure.  The submodule is the
+    algebra's shared module for its presentation; the inclusion is built
+    and validated per call.
     """
     field = m.algebra.field
     dims = {v: bases[v].shape[1] for v in bases}
@@ -319,13 +358,17 @@ def submodule_from_bases(m: QModule, bases: dict[str, np.ndarray]) -> tuple[QMod
         if coords is None:
             raise ValueError(f"spans are not stable under arrow {a.name}")
         maps[a.name] = coords
-    sub = QModule(m.algebra, dims, maps)
+    sub = _shared_module(m.algebra, dims, maps)
     incl = QMorphism(sub, m, dict(bases))
     return sub, incl
 
 
 def quotient_by_images(m: QModule, image_bases: dict[str, np.ndarray]) -> tuple[QModule, QMorphism]:
-    """The quotient of m by the arrow-stable span of given image columns."""
+    """The quotient of m by the arrow-stable span of given image columns.
+
+    The quotient is the algebra's shared module for its presentation; the
+    projection is built and validated per call.
+    """
     field = m.algebra.field
     proj_blocks = {}
     sections = {}
@@ -349,7 +392,7 @@ def quotient_by_images(m: QModule, image_bases: dict[str, np.ndarray]) -> tuple[
         if not np.array_equal(lhs, rhs):
             raise ValueError(f"image spans are not stable under arrow {a.name}")
         maps[a.name] = induced
-    quot = QModule(m.algebra, dims, maps)
+    quot = _shared_module(m.algebra, dims, maps)
     proj = QMorphism(m, quot, proj_blocks)
     return quot, proj
 
@@ -454,11 +497,19 @@ def dualize_morphism(f: QMorphism) -> QMorphism:
 
 
 def direct_sum(algebra: BoundQuiverAlgebra, modules: list[QModule]) -> QModule:
-    """The sum of ``modules`` with block-diagonal arrow maps, in the given order."""
-    field = algebra.field
+    """The sum of ``modules`` with block-diagonal arrow maps, in the given order.
+
+    Cached per tuple of summand objects, so covers with the same
+    generators share one module.
+    """
     for m in modules:
         if m.algebra is not algebra:
             raise AlgebraMismatch("direct sum over mixed algebras")
+    return memo(algebra, "direct_sum", tuple(modules), lambda: _direct_sum_compute(algebra, modules))
+
+
+def _direct_sum_compute(algebra: BoundQuiverAlgebra, modules: list[QModule]) -> QModule:
+    field = algebra.field
     dims = {v: sum(m.dims[v] for m in modules) for v in algebra.quiver.vertices}
     maps = {}
     for a in algebra.quiver.arrows:
@@ -593,10 +644,10 @@ class _EndData:
     memoized: it only serves this transient object.
     """
 
-    def __init__(self, m: QModule):
+    def __init__(self, m: QModule, basis: tuple[QMorphism, ...] | None = None):
         self.module = m
         self.field = field = m.algebra.field
-        self.basis = _hom_basis_compute(m, m)
+        self.basis = _hom_basis_compute(m, m) if basis is None else basis
         n = len(self.basis)
         self.stacks = _stacks(m, m, self.basis)
         self.vecs = np.concatenate([s.reshape(n, -1) for s in self.stacks.values()], axis=1).T
@@ -702,10 +753,11 @@ def _split_module_once(m: QModule, seed: int) -> list[tuple[QModule, QMorphism, 
     when S is commutative and Frobenius fixes only its scalars.
     """
     field = m.algebra.field
-    end = _EndData(m)
-    n = len(end.basis)
-    if n == 1:
+    basis = _hom_basis_compute(m, m)
+    n = len(basis)
+    if n == 1:  # End(m) is the field itself
         return None
+    end = _EndData(m, basis)
     # the basis elements at the pivots of the trace form lift a basis of S
     _, pivots, s_dim = field.rref(end.gram)
     if s_dim == 1:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from quiverglue import approx as approx_module
 from quiverglue import homology as hgy
 from quiverglue.approx import (
+    _approx_class,
     in_T_covee,
     in_T_wedge,
     minimal_left_approximation,
@@ -16,8 +18,11 @@ from quiverglue.approx import (
     special_preenvelope_universe,
     universal_extension,
 )
+from quiverglue.bundled import load_workspace
 from quiverglue.errors import NotSurjective, NotTilting, PreconditionFailed
 from quiverglue.modcat import (
+    _block_products,
+    _stacks,
     decompose,
     direct_sum,
     hom_basis,
@@ -136,6 +141,72 @@ def test_minimal_approximation_rejects_a_decomposable_member(a2):
     p1, s2 = projective(a2, "1"), simple(a2, "2")
     with pytest.raises(PreconditionFailed, match="non-radical"):
         minimal_right_approximation(p1, [direct_sum(a2, [p1, s2])])
+
+
+def test_a_built_class_still_certifies_every_call(a2):
+    # the class of [P(1), P(1)] and of [P(1) + S(2)] is memoized by the first call;
+    # the certificates run again on the second
+    p1, s2 = projective(a2, "1"), simple(a2, "2")
+    for _ in range(2):
+        with pytest.raises(PreconditionFailed, match="do not factor"):
+            minimal_right_approximation(p1, [p1, p1])
+        with pytest.raises(PreconditionFailed, match="non-radical"):
+            minimal_right_approximation(p1, [direct_sum(a2, [p1, s2])])
+
+
+# -- the approximation class ---------------------------------------------------
+
+
+@pytest.mark.parametrize("side", ["a", "c", "b"])
+def test_class_composites_equal_block_products(univ_a, univ_c, univ_b, side):
+    universe = {"a": univ_a, "c": univ_c, "b": univ_b}[side]
+    members = universe.modules()
+    algebra = universe.algebra
+    cls = _approx_class(algebra, members)
+    assert cls.members == tuple(members)
+    for x in members:
+        to_x = [_stacks(u, x, hom_basis(u, x)) for u in members]
+        live = [i for i, u in enumerate(members) if hom_basis(u, x)]
+        for j in live:
+            composites = cls.composites(j, to_x[j], live)
+            assert sorted(composites) == live
+            for i in live:
+                right = _stacks(members[i], members[j], hom_basis(members[i], members[j]))
+                expected = np.concatenate(
+                    [_block_products(algebra.field, to_x[j][v], right[v]) for v in algebra.quiver.vertices]
+                )
+                assert np.array_equal(composites[i], expected)
+
+
+def test_a_class_computes_each_trace_form_once(monkeypatch):
+    # a freshly loaded workspace keeps the class memo cold
+    universe = load_workspace().universe_b
+    members = universe.modules()
+    calls = []
+    pairing = approx_module._trace_pairing
+
+    def counting(*args):
+        calls.append(args)
+        return pairing(*args)
+
+    monkeypatch.setattr(approx_module, "_trace_pairing", counting)
+    for x in members:
+        assert minimal_right_approximation(x, members).is_isomorphism()
+    assert len(calls) == len(members)
+
+
+def test_the_class_is_keyed_on_every_member(univ_b):
+    # two classes that share their first member are different classes
+    members = univ_b.modules()
+    first = members[0]
+    x, other = next((x, m) for x in members[1:] for m in members[1:] if m is not x and hom_basis(m, x))
+    assert minimal_right_approximation(x, [first, x]).is_isomorphism()
+    g = minimal_right_approximation(x, [first, other])
+    assert _approx_class(univ_b.algebra, [first, other]).members == (first, other)
+    # the same class in the other order is built afresh; both give one U0
+    h = minimal_right_approximation(x, [other, first])
+    assert is_isomorphic(g.source, h.source) is not None
+    assert not g.is_zero()
 
 
 def test_special_preenvelope_trivial_case(a2):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import shutil
+from pathlib import Path
+
+import pytest
 
 from quiverglue.bundled import data_path
 from quiverglue.cli import main
 
 DATA = data_path()
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -129,6 +133,17 @@ def test_reproduce_both_examples(capsys):
         assert code == 0
         assert "matches the expected summands" in out
         assert "degree n2 = 2" in out
+
+
+@pytest.mark.parametrize("prime", ["101", "32003"])
+@pytest.mark.parametrize("example", ["5-1", "5-2"])
+def test_reproduce_report_is_the_golden_one(capsys, monkeypatch, prime, example):
+    # the committed reports in tests/data, byte for byte: no change may alter them
+    monkeypatch.delenv("QUIVERGLUE_PRIME", raising=False)
+    monkeypatch.delenv("QUIVERGLUE_SEED", raising=False)
+    code, out, _ = run(capsys, "--prime", prime, "reproduce", example)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"reproduce_{example}.txt").read_bytes()
 
 
 def test_reproduce_at_a_large_prime(capsys):

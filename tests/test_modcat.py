@@ -130,12 +130,19 @@ def test_memo_contract():
     assert split_summands(m) == expected
     assert hgy.ext(simple(first, "3"), s4, 1) is hgy.ext(simple(first, "3"), s4, 1)
 
+    omega = hgy.syzygy(simple(first, "3"), 1)
+    assert kernel(hgy.projective_cover(simple(first, "3")))[0] is omega
+
     # a rebuilt algebra starts cold: no cached object is shared
     second = build()
     hom_basis(projective(second, "3"), projective(second, "3"))
     split_summands(direct_sum(second, [projective(second, "3"), simple(second, "4")]))
     hgy.ext(simple(second, "3"), simple(second, "4"), 1)
     assert projective(second, "3") is not p3
+    assert hgy.syzygy(simple(second, "3"), 1) is not omega
+    assert omega.dim_vector() == hgy.syzygy(simple(second, "3"), 1).dim_vector()
+    for table in ("module", "direct_sum"):
+        assert first._memo[table] and second._memo[table]
 
     def cached(algebra):
         # an empty hom basis is the () singleton, equal in every table
@@ -154,9 +161,9 @@ def test_dualize_morphism_contravariant(a2):
 
 
 def test_direct_sum_builds_only_the_module(workspace, monkeypatch):
-    modules = workspace.universe_b.modules()[:4]
+    # the last four members: no other test sums them, so the memo is cold
+    modules = workspace.universe_b.modules()[-4:]
     algebra = workspace.universe_b.algebra
-    with_maps = modcat.direct_sum_with_maps(algebra, modules)[0]
     built = []
     init = QMorphism.__init__
 
@@ -167,7 +174,94 @@ def test_direct_sum_builds_only_the_module(workspace, monkeypatch):
     monkeypatch.setattr(QMorphism, "__init__", counting_init)
     total = direct_sum(algebra, modules)
     assert not built
-    assert total.equal_presentation(with_maps)
+    monkeypatch.undo()
+    total_again, injections, projections = modcat.direct_sum_with_maps(algebra, modules)
+    assert total_again is total
+    for inj, proj in zip(injections, projections):
+        assert proj.compose(inj).to_vector().tolist() == identity_morphism(inj.source).to_vector().tolist()
+
+
+def test_direct_sum_is_shared_per_tuple_of_summands(a2):
+    p1, s2 = projective(a2, "1"), simple(a2, "2")
+    assert direct_sum(a2, [p1, s2]) is direct_sum(a2, [p1, s2])
+    assert direct_sum(a2, [s2, p1]) is not direct_sum(a2, [p1, s2])
+
+
+# -- shared modules ------------------------------------------------------------
+
+
+def test_first_syzygies_of_intervals_are_shared(a7_intervals):
+    # Omega[i, j] = [j + 1, 7] for every i <= j < 7: one object, one resolution per interval
+    by_ends = {}
+    for m in a7_intervals:
+        support = [int(v) for v, d in m.dims.items() if d]
+        by_ends[min(support), max(support)] = m
+    for j in range(1, 7):
+        starts = [by_ends[i, j] for i in range(1, j + 1)]
+        omegas = [hgy.syzygy_with_inclusion(m, 1) for m in starts]
+        shared = omegas[0][0]
+        assert shared.dim_vector() == tuple(int(j < v) for v in range(1, 8))
+        for m, (omega, incl) in zip(starts, omegas):
+            assert omega is shared
+            # each resolution keeps its own validated inclusion into its own P_0
+            p0 = hgy.projective_resolution(m, 1).terms[0]
+            assert incl.source is shared and incl.target is p0 and incl.is_injective()
+            QMorphism(incl.source, incl.target, incl.blocks)
+        assert len({id(incl) for _, incl in omegas}) == len(omegas)
+
+
+def zero_kernel(m):
+    """The kernel of m -> 0: m's own presentation, rebuilt by ``submodule_from_bases``."""
+    return kernel(modcat.zero_morphism(m, modcat.zero_module(m.algebra)))[0]
+
+
+def _kernels_with_equal_dims(kronecker_modules):
+    groups = {}
+    for m in kronecker_modules:
+        groups.setdefault(m.dim_vector(), []).append(m)
+    pairs = [(a, b) for group in groups.values() for a, b in zip(group, group[1:]) if not a.equal_presentation(b)]
+    assert pairs
+    return pairs
+
+
+def test_kernels_with_equal_dims_and_different_maps_stay_distinct(kronecker_modules):
+    for a, b in _kernels_with_equal_dims(kronecker_modules):
+        ka, kb = zero_kernel(a), zero_kernel(b)
+        assert ka.dim_vector() == kb.dim_vector() and not ka.equal_presentation(kb)
+        assert ka is not kb
+        assert zero_kernel(a) is ka and ka.equal_presentation(a)
+
+
+def test_a_fingerprint_collision_is_caught_on_the_hit(kronecker_modules, monkeypatch):
+    # with the maps left out of the key every equal dim vector collides;
+    # the check on the hit must still keep different maps apart
+    monkeypatch.setattr(modcat, "_fingerprint", lambda dims, arrows: ("dims only", dims))
+    pairs = _kernels_with_equal_dims(kronecker_modules)
+    for a, b in pairs:
+        ka, kb = zero_kernel(a), zero_kernel(b)
+        assert ka.equal_presentation(a) and kb.equal_presentation(b)
+        assert ka is not kb
+    # the module that filled the slot first is still shared
+    a = pairs[0][0]
+    assert zero_kernel(a) is zero_kernel(a)
+
+
+def test_decomposing_every_interval_builds_no_end_data(monkeypatch):
+    # End([i, j]) = F_p is certified from the hom basis alone; a fresh algebra keeps the split memo cold
+    built = []
+
+    class CountingEndData(_EndData):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(modcat, "_EndData", CountingEndData)
+    intervals = [a7_interval_sum([(i, j)], seed=i * 7 + j) for i in range(7) for j in range(i, 7)]
+    for m in intervals:
+        assert len(decompose(m)) == 1
+    assert not built
+    assert len(decompose(a7_interval_sum([(0, 2), (1, 4)], seed=1))) == 2
+    assert built
 
 
 def test_direct_sum_and_iso(a2):
