@@ -10,6 +10,7 @@ import pytest
 from quiverglue import PrimeField, QModule, QMorphism, Quiver, build_algebra, relation
 from quiverglue import homology as hgy
 from quiverglue import modcat
+from quiverglue.bundled import load_workspace
 from quiverglue.errors import AlgebraMismatch, FieldTooSmall, NonIntegerEntries, UniverseInconsistent
 from quiverglue.modcat import (
     DEFAULT_SEED,
@@ -160,10 +161,11 @@ def test_dualize_morphism_contravariant(a2):
     assert df.target.equal_presentation(dualize(p2))
 
 
-def test_direct_sum_builds_only_the_module(workspace, monkeypatch):
-    # the last four members: no other test sums them, so the memo is cold
-    modules = workspace.universe_b.modules()[-4:]
-    algebra = workspace.universe_b.algebra
+def test_direct_sum_builds_only_the_module(monkeypatch):
+    # a freshly loaded workspace keeps the direct-sum memo cold
+    universe = load_workspace().universe_b
+    modules = universe.modules()[:4]
+    algebra = universe.algebra
     built = []
     init = QMorphism.__init__
 
