@@ -42,8 +42,9 @@ from .modcat import (
 from .recollement import Recollement
 from .tilting import (
     CotorsionPairData,
-    cotorsion_pair_from_cotilting,
-    cotorsion_pair_from_tilting,
+    _least_degree,
+    _pair_from_verified,
+    _perp_in_universe,
     verify_cotilting,
     verify_pair_axioms,
     verify_tilting,
@@ -103,13 +104,7 @@ def glued_classes(
         and in_add(rec.j_upper_star(b), v3_mods, seed=seed)
     ]
     v2_mods = [universe_b.module(n) for n in v2_names]
-    u2_names = [
-        name
-        for name, b in universe_b.members
-        if all(
-            hgy.ext(b, v, 1).dimension == 0 for v in v2_mods if b.total_dim and v.total_dim
-        )
-    ]
+    u2_names = _perp_in_universe(universe_b, v2_mods, range(1, 2), left=True)
     u2_mods = [universe_b.module(n) for n in u2_names]
 
     # the perpendicular class must land inside the functor-defined candidates
@@ -269,8 +264,8 @@ def glue_tilting(
     _require_exactness(rec)
     verify_tilting(t1, n1, seed=seed).require()
     verify_tilting(t3, n3, seed=seed).require()
-    pair_a = cotorsion_pair_from_tilting(t1, n1, universe_a, seed=seed)
-    pair_c = cotorsion_pair_from_tilting(t3, n3, universe_c, seed=seed)
+    pair_a = _pair_from_verified(t1, n1, universe_a, seed, "tilting")
+    pair_c = _pair_from_verified(t3, n3, universe_c, seed, "tilting")
     glued = glued_classes(
         rec, pair_a, pair_c, universe_b, seed=seed, verify_approximations=verify_approximations
     )
@@ -282,11 +277,7 @@ def glue_tilting(
     t2 = direct_sum(rec.total, parts)
 
     bound = max(n1, n3)
-    n2 = None
-    for n in range(1, bound + 1):
-        if verify_tilting(t2, n, seed=seed).ok:
-            n2 = n
-            break
+    n2 = _least_degree(verify_tilting, t2, bound, seed)
     if n2 is None:
         raise UniverseInconsistent(f"glued module is not n-tilting for any n <= {bound}")
 
@@ -338,19 +329,15 @@ def glue_cotilting(
     _require_exactness(rec)
     verify_cotilting(t1, n1, seed=seed).require()
     verify_cotilting(t3, n3, seed=seed).require()
-    pair_a = cotorsion_pair_from_cotilting(t1, n1, universe_a, seed=seed)
-    pair_c = cotorsion_pair_from_cotilting(t3, n3, universe_c, seed=seed)
+    pair_a = _pair_from_verified(t1, n1, universe_a, seed, "cotilting")
+    pair_c = _pair_from_verified(t3, n3, universe_c, seed, "cotilting")
     glued = glued_classes(
         rec, pair_a, pair_c, universe_b, seed=seed, verify_approximations=verify_approximations
     )
 
     t2 = direct_sum(rec.total, [universe_b.module(n) for n in glued.t2_names])
     bound = max(n1 + 1, n3)
-    n2 = None
-    for n in range(1, bound + 1):
-        if verify_cotilting(t2, n, seed=seed).ok:
-            n2 = n
-            break
+    n2 = _least_degree(verify_cotilting, t2, bound, seed)
     if n2 is None:
         raise UniverseInconsistent(f"glued module is not n-cotilting for any n <= {bound}")
 

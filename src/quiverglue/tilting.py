@@ -3,9 +3,12 @@
 A tilting check runs the three axioms literally: a projective-dimension
 bound, self-orthogonality through degree n, and add(T)-coresolutions of
 every indecomposable projective found by iterated minimal left
-approximations.  The cotilting check runs the mirror axioms directly on
-the injective side and, independently, the tilting check of the dual
-module over the opposite algebra; the two verdicts must agree.
+approximations.  The cotilting check runs the mirror axioms on the
+injective side and then the tilting check of the dual module over the
+opposite algebra; the two verdicts must agree.  Only (C2) is independent
+of the dual route: (C1) is pd of the dual, and (C3) tests the same dual
+objects D I(v) = P_op(v) as the dual route's (P3).  What is cross-checked
+is Ext^i(T, T) over the algebra against Ext^i(DT, DT) over its opposite.
 
 Cotorsion pairs are always relative to an explicit finite universe.
 Disagreement between the orthogonality route and the coresolution route
@@ -53,16 +56,25 @@ class TiltingCheck:
         return self
 
 
-def verify_tilting(t: QModule, n: int, seed: int = DEFAULT_SEED) -> TiltingCheck:
-    """Check the n-tilting axioms for t, returning a refutation on failure."""
+def _check_axioms(
+    t: QModule, n: int, seed: int, kind: str, dimension, target, member
+) -> TiltingCheck:
+    """Run the axioms (P1-P3) of a tilting or (C1-C3) of a cotilting module.
+
+    ``dimension`` is pd or injdim, ``target`` builds the indecomposable
+    projectives or injectives, and ``member`` is the add(T)-coresolution
+    or add(T)-resolution test applied to them.
+    """
     if n < 1:
-        raise ValueError("tilting degree n must be >= 1")
-    algebra = t.algebra
+        raise ValueError(f"{kind} degree n must be >= 1")
+    letter, side, witness_name = (
+        ("P", "projective", "coresolution") if kind == "tilting" else ("C", "injective", "resolution")
+    )
     failures: list[str] = []
 
-    pd_value = hgy.pd(t, cap=n)
-    if pd_value is None:
-        failures.append(f"(P1) projective dimension exceeds {n}")
+    dim_value = dimension(t, cap=n)
+    if dim_value is None:
+        failures.append(f"({letter}1) {side} dimension exceeds {n}")
 
     ext_table = {}
     if t.total_dim:
@@ -70,63 +82,35 @@ def verify_tilting(t: QModule, n: int, seed: int = DEFAULT_SEED) -> TiltingCheck
             d = hgy.ext(t, t, i).dimension
             ext_table[i] = d
             if d:
-                failures.append(f"(P2) Ext^{i}(T, T) has dimension {d}")
+                failures.append(f"({letter}2) Ext^{i}(T, T) has dimension {d}")
 
-    coresolutions: dict[str, CoresolutionWitness | None] = {}
-    for v in algebra.quiver.vertices:
-        witness = in_T_wedge(projective(algebra, v), t, n, seed=seed)
-        coresolutions[v] = witness
+    witnesses: dict[str, CoresolutionWitness | None] = {}
+    for v in t.algebra.quiver.vertices:
+        witness = member(target(t.algebra, v), t, n, seed=seed)
+        witnesses[v] = witness
         if witness is None:
-            failures.append(f"(P3) projective at vertex {v} has no add(T)-coresolution of length {n}")
+            failures.append(f"({letter}3) {side} at vertex {v} has no add(T)-{witness_name} of length {n}")
 
     return TiltingCheck(
         module=t,
         n=n,
-        kind="tilting",
+        kind=kind,
         ok=not failures,
         failures=tuple(failures),
-        pd_value=pd_value,
+        pd_value=dim_value,
         ext_table=ext_table,
-        coresolutions=coresolutions,
+        coresolutions=witnesses,
     )
+
+
+def verify_tilting(t: QModule, n: int, seed: int = DEFAULT_SEED) -> TiltingCheck:
+    """Check the n-tilting axioms for t, returning a refutation on failure."""
+    return _check_axioms(t, n, seed, "tilting", hgy.pd, projective, in_T_wedge)
 
 
 def verify_cotilting(t: QModule, n: int, seed: int = DEFAULT_SEED) -> TiltingCheck:
     """Check the n-cotilting axioms directly and against the dual route."""
-    if n < 1:
-        raise ValueError("cotilting degree n must be >= 1")
-    algebra = t.algebra
-    failures: list[str] = []
-
-    id_value = hgy.injdim(t, cap=n)
-    if id_value is None:
-        failures.append(f"(C1) injective dimension exceeds {n}")
-
-    ext_table = {}
-    if t.total_dim:
-        for i in range(1, n + 1):
-            d = hgy.ext(t, t, i).dimension
-            ext_table[i] = d
-            if d:
-                failures.append(f"(C2) Ext^{i}(T, T) has dimension {d}")
-
-    coresolutions: dict[str, CoresolutionWitness | None] = {}
-    for v in algebra.quiver.vertices:
-        witness = in_T_covee(injective(algebra, v), t, n, seed=seed)
-        coresolutions[v] = witness
-        if witness is None:
-            failures.append(f"(C3) injective at vertex {v} has no add(T)-resolution of length {n}")
-
-    direct = TiltingCheck(
-        module=t,
-        n=n,
-        kind="cotilting",
-        ok=not failures,
-        failures=tuple(failures),
-        pd_value=id_value,
-        ext_table=ext_table,
-        coresolutions=coresolutions,
-    )
+    direct = _check_axioms(t, n, seed, "cotilting", hgy.injdim, injective, in_T_covee)
     dual_check = verify_tilting(dualize(t), n, seed=seed)
     if dual_check.ok != direct.ok:
         raise RuntimeError(
@@ -155,32 +139,20 @@ class CotorsionPairData:
         return [self.universe.module(name) for name in self.v_names]
 
 
-def _perp_in_universe(universe: Universe, generators: list[QModule], degrees: range) -> list[str]:
-    """Members X with Ext^i(G, X) = 0 for all generators and degrees."""
-    names = []
-    for name, x in universe.members:
+def _perp_in_universe(
+    universe: Universe, modules: list[QModule], degrees: range, left: bool = False
+) -> list[str]:
+    """Members X with Ext^i(G, X) = 0, or Ext^i(X, G) = 0 if ``left``, for G in modules, i in degrees."""
+    return [
+        name
+        for name, x in universe.members
         if all(
-            hgy.ext(g, x, i).dimension == 0
-            for g in generators
+            hgy.ext(*((x, g) if left else (g, x)), i).dimension == 0
+            for g in modules
             if g.total_dim and x.total_dim
             for i in degrees
-        ):
-            names.append(name)
-    return names
-
-
-def _coperp_in_universe(universe: Universe, cogenerators: list[QModule], degrees: range) -> list[str]:
-    """Members X with Ext^i(X, G) = 0 for all cogenerators and degrees."""
-    names = []
-    for name, x in universe.members:
-        if all(
-            hgy.ext(x, g, i).dimension == 0
-            for g in cogenerators
-            if g.total_dim and x.total_dim
-            for i in degrees
-        ):
-            names.append(name)
-    return names
+        )
+    ]
 
 
 def verify_pair_axioms(
@@ -201,26 +173,22 @@ def verify_pair_axioms(
         hgy.ext(u, v, 1).dimension == 0 for u in u_mods for v in v_mods
     )
     v_from_u = _perp_in_universe(universe, u_mods, range(1, 2))
-    u_from_v = _coperp_in_universe(universe, v_mods, range(1, 2))
+    u_from_v = _perp_in_universe(universe, v_mods, range(1, 2), left=True)
     checks = {
         "ext1_vanishes": ext1_ok,
         "v_is_u_perp": set(v_from_u) == set(v_names),
         "u_is_perp_v": set(u_from_v) == set(u_names),
     }
-    proj_names = []
-    for v in algebra.quiver.vertices:
-        name = universe.find_member(projective(algebra, v))
-        if name is None:
-            raise UniverseInconsistent(f"projective at {v} missing from the universe")
-        proj_names.append(name)
-    inj_names = []
-    for v in algebra.quiver.vertices:
-        name = universe.find_member(injective(algebra, v))
-        if name is None:
-            raise UniverseInconsistent(f"injective at {v} missing from the universe")
-        inj_names.append(name)
-    checks["projectives_in_u"] = set(proj_names) <= set(u_names)
-    checks["injectives_in_v"] = set(inj_names) <= set(v_names)
+    found = {}
+    for side, make in (("projective", projective), ("injective", injective)):
+        found[side] = set()
+        for v in algebra.quiver.vertices:
+            name = universe.find_member(make(algebra, v))
+            if name is None:
+                raise UniverseInconsistent(f"{side} at {v} missing from the universe")
+            found[side].add(name)
+    checks["projectives_in_u"] = found["projective"] <= set(u_names)
+    checks["injectives_in_v"] = found["injective"] <= set(v_names)
     if check_hereditary:
         checks["ext2_vanishes"] = all(
             hgy.ext(u, v, 2).dimension == 0 for u in u_mods for v in v_mods
@@ -228,21 +196,27 @@ def verify_pair_axioms(
     return checks
 
 
-def cotorsion_pair_from_tilting(
-    t: QModule, n: int, universe: Universe, seed: int = DEFAULT_SEED
+def _pair_from_verified(
+    t: QModule, n: int, universe: Universe, seed: int, kind: str
 ) -> CotorsionPairData:
-    """(T-wedge, T-perp) on the universe, cross-checked both ways."""
-    verify_tilting(t, n, seed=seed).require()
-    v_names = _perp_in_universe(universe, [t], range(1, n + 1))
-    v_mods = [universe.module(name) for name in v_names]
-    u_names = _coperp_in_universe(universe, v_mods, range(1, 2))
-    wedge_names = [
-        name for name, x in universe.members if in_T_wedge(x, t, n, seed=seed) is not None
-    ]
-    if set(wedge_names) != set(u_names):
+    """The pair generated by a verified (co)tilting t, cross-checked both ways.
+
+    T's own class is cut out by Ext^1..n against T (T-perp for tilting,
+    perp-T for cotilting), the other class is its Ext^1-perpendicular, and
+    that class must equal the members with an add(T)-coresolution
+    (T-wedge) or add(T)-resolution (T-covee).
+    """
+    tilting = kind == "tilting"
+    own = _perp_in_universe(universe, [t], range(1, n + 1), left=not tilting)
+    own_mods = [universe.module(name) for name in own]
+    other = _perp_in_universe(universe, own_mods, range(1, 2), left=tilting)
+    member, route = (in_T_wedge, "wedge") if tilting else (in_T_covee, "coresolution")
+    witnessed = [name for name, x in universe.members if member(x, t, n, seed=seed) is not None]
+    if set(witnessed) != set(other):
         raise UniverseInconsistent(
-            f"perp route {sorted(u_names)} disagrees with wedge route {sorted(wedge_names)}"
+            f"perp route {sorted(other)} disagrees with {route} route {sorted(witnessed)}"
         )
+    u_names, v_names = (other, own) if tilting else (own, other)
     checks = verify_pair_axioms(universe, u_names, v_names)
     if not all(checks.values()):
         raise UniverseInconsistent(f"pair axioms failed: {checks}")
@@ -251,8 +225,16 @@ def cotorsion_pair_from_tilting(
         u_names=tuple(u_names),
         v_names=tuple(v_names),
         hereditary=True,
-        kind=("tilting", t, n),
+        kind=(kind, t, n),
     )
+
+
+def cotorsion_pair_from_tilting(
+    t: QModule, n: int, universe: Universe, seed: int = DEFAULT_SEED
+) -> CotorsionPairData:
+    """(T-wedge, T-perp) on the universe, cross-checked both ways."""
+    verify_tilting(t, n, seed=seed).require()
+    return _pair_from_verified(t, n, universe, seed, "tilting")
 
 
 def cotorsion_pair_from_cotilting(
@@ -260,26 +242,7 @@ def cotorsion_pair_from_cotilting(
 ) -> CotorsionPairData:
     """(perp-T, T-covee) on the universe, cross-checked both ways."""
     verify_cotilting(t, n, seed=seed).require()
-    u_names = _coperp_in_universe(universe, [t], range(1, n + 1))
-    u_mods = [universe.module(name) for name in u_names]
-    v_names = _perp_in_universe(universe, u_mods, range(1, 2))
-    covee_names = [
-        name for name, x in universe.members if in_T_covee(x, t, n, seed=seed) is not None
-    ]
-    if set(covee_names) != set(v_names):
-        raise UniverseInconsistent(
-            f"perp route {sorted(v_names)} disagrees with coresolution route {sorted(covee_names)}"
-        )
-    checks = verify_pair_axioms(universe, u_names, v_names)
-    if not all(checks.values()):
-        raise UniverseInconsistent(f"pair axioms failed: {checks}")
-    return CotorsionPairData(
-        universe=universe,
-        u_names=tuple(u_names),
-        v_names=tuple(v_names),
-        hereditary=True,
-        kind=("cotilting", t, n),
-    )
+    return _pair_from_verified(t, n, universe, seed, "cotilting")
 
 
 @dataclass(frozen=True)
@@ -318,9 +281,11 @@ def is_tilting_cotorsion_pair(
     return TiltingPairDecision(accepted=True, n=n, t_names=t_names, check=check)
 
 
+def _least_degree(verify, t: QModule, cap: int, seed: int) -> int | None:
+    """Smallest n <= cap for which ``verify(t, n)`` passes, else None."""
+    return next((n for n in range(1, cap + 1) if verify(t, n, seed=seed).ok), None)
+
+
 def find_tilting_degree(t: QModule, cap: int = 8, seed: int = DEFAULT_SEED) -> int | None:
     """Smallest n <= cap for which t verifies as n-tilting, else None."""
-    for n in range(1, cap + 1):
-        if verify_tilting(t, n, seed=seed).ok:
-            return n
-    return None
+    return _least_degree(verify_tilting, t, cap, seed)

@@ -240,3 +240,19 @@ def test_functor_morphism_actions_are_functorial(rec, univ_a, univ_c, univ_b, fu
 def test_algebra_mismatch_guard(rec, univ_c):
     with pytest.raises(AlgebraMismatch):
         rec.i_star(univ_c.module("P(3)"))
+
+
+def test_counit_jshriek_and_unit_istar_are_natural(rec, univ_b):
+    # for every hom-basis map f: M -> N,
+    #   counit(N) . j_! j^*(f) == f . counit(M)
+    #   unit_istar(N) . f == i_* i^*(f) . unit_istar(M)
+    maps = 0
+    for _, m in univ_b.members:
+        for _, n in univ_b.members:
+            for f in hom_basis(m, n):
+                jf = rec.j_lower_shriek_mor(rec.j_upper_star_mor(f))
+                assert _same_morphism(rec.counit_jshriek(n).compose(jf), f.compose(rec.counit_jshriek(m)))
+                istar_f = rec.i_star_mor(rec.i_upper_star_mor(f))
+                assert _same_morphism(rec.unit_istar(n).compose(f), istar_f.compose(rec.unit_istar(m)))
+                maps += 1
+    assert maps > 0

@@ -6,10 +6,12 @@ import pytest
 
 from quiverglue import homology as hgy
 from quiverglue.approx import in_T_covee, in_T_wedge
-from quiverglue.errors import NotTilting, PreconditionFailed
+from quiverglue import tilting
+from quiverglue.errors import NotTilting, PreconditionFailed, UniverseInconsistent
 from quiverglue.modcat import (
     decompose,
     direct_sum,
+    dualize,
     injective,
     projective,
     simple,
@@ -201,3 +203,54 @@ def test_cotilting_direct_and_dual_routes_agree(t1_cotilt, t3_cotilt):
     # raises on disagreement; reaching here means both agree
     assert verify_cotilting(t1_cotilt, 1).ok
     assert verify_cotilting(t3_cotilt, 2).ok
+
+
+@pytest.mark.parametrize(
+    "kind, member, route",
+    [("tilting", "in_T_wedge", "wedge"), ("cotilting", "in_T_covee", "coresolution")],
+)
+def test_pair_routes_disagree_when_a_member_is_dropped(
+    monkeypatch, kind, member, route, t3_tilt, t3_cotilt, univ_c
+):
+    # S(4) is in the (co)resolution class of both pairs and is neither projective
+    # nor injective, so dropping it from the membership test leaves the axioms intact
+    t = t3_tilt if kind == "tilting" else t3_cotilt
+    build = cotorsion_pair_from_tilting if kind == "tilting" else cotorsion_pair_from_cotilting
+    pair = build(t, 2, univ_c)
+    other = sorted(pair.u_names if kind == "tilting" else pair.v_names)
+    assert "S(4)" in other
+    dropped = univ_c.module("S(4)")
+    original = getattr(tilting, member)
+
+    def without_s4(x, *args, **kwargs):
+        return None if x is dropped else original(x, *args, **kwargs)
+
+    monkeypatch.setattr(tilting, member, without_s4)
+    witnessed = [name for name in other if name != "S(4)"]
+    expected = f"perp route {other} disagrees with {route} route {witnessed}"
+    with pytest.raises(UniverseInconsistent) as err:
+        build(t, 2, univ_c)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize(
+    "side, direct, dual",
+    [
+        ("direct", ("(C2) Ext^1(T, T) has dimension 1",), ()),
+        ("dual", (), ("(P2) Ext^1(T, T) has dimension 1",)),
+    ],
+)
+def test_cotilting_routes_disagree_when_one_ext_reads_nonzero(monkeypatch, t1_cotilt, side, direct, dual):
+    # Ext^1(T, T) over the algebra against Ext^1(DT, DT) over its opposite
+    faked = t1_cotilt if side == "direct" else dualize(t1_cotilt)
+    original = hgy.ext
+
+    def ext(m, n, i):
+        if m is faked and n is faked and i == 1:
+            return hgy.ExtGroup(i, m, n, 1, ())
+        return original(m, n, i)
+
+    monkeypatch.setattr(hgy, "ext", ext)
+    with pytest.raises(RuntimeError) as err:
+        verify_cotilting(t1_cotilt, 1)
+    assert str(err.value) == f"cotilting routes disagree: direct={direct}, dual={dual}"
