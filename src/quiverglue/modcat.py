@@ -5,15 +5,16 @@ matrix per arrow (target-dim x source-dim) such that every relation of
 the algebra evaluates to zero.  Morphisms are vertex-indexed blocks
 making every arrow square commute.
 
-Modules and morphisms are immutable once constructed and validate
-themselves eagerly, so any construction bug fails loudly at the point
-where an invalid object would first exist.  Matrix entries must have an
-integer dtype; nothing is truncated or cast.  Hom bases are the one
-batch exception: the square equations are assembled by index scatter,
-and the whole kernel K is certified by one product ``system @ K == 0``
-(the per-morphism square checks, all at once).  The basis morphisms are
-then built unchecked, with read-only blocks, because the hom memo shares
-them.
+Modules and morphisms are immutable.  ``QModule`` and ``QMorphism``
+validate eagerly (relations, arrow squares), so a construction bug fails
+loudly where an invalid object would first exist; entries must have an
+integer dtype, and nothing is truncated or cast.  Morphisms found by
+solving go through ``QMorphism``.  Two kinds are certified by
+construction (``QMorphism._certified``): hom bases, whose square
+equations are assembled by index scatter and certified as a whole by one
+product ``system @ K == 0`` (read-only blocks, as the hom memo shares
+them), and derived arithmetic (compose, add, scale, inverse, identity,
+dual, combinations of an End basis), which is closed on valid morphisms.
 
 The modules that ``kernel``, ``image`` and ``cokernel`` build are shared:
 ``submodule_from_bases`` and ``quotient_by_images`` return the algebra's
@@ -27,7 +28,9 @@ first syzygies [j+1, n] of all intervals [i, j] over a line, for
 example, are one object with one Hom memo row.  Each call still builds
 and validates its own inclusion or projection.  ``direct_sum`` is cached
 per tuple of summands, so covers with the same generators share one
-term.  Modules built directly with ``QModule`` are never shared.
+term, and a sum splits through its summands' own certified splits and
+its canonical maps, without End(sum).  Modules built directly with
+``QModule`` are never shared.
 
 Decomposition into indecomposables works through the endomorphism
 algebra: the radical is the kernel of the trace form (valid because the
@@ -45,13 +48,13 @@ a.  The multiset of summands is seed-independent by Krull-Schmidt.
 A splitting step first solves for the End basis and stops when it has
 one element (End(m) = F_p).  Only a larger End(M) is built, once per
 step, as a certified table of structure constants T[k, i, j] (the
-b_k-coordinate of b_i o b_j): all products of basis elements are formed
-in one contraction per vertex and mapped to coordinates by one left
-inverse of the basis matrix, and the batch is certified by mapping the
-coordinates back.  The trace form, commutators, powers and idempotents
-are then computed on coordinates.  A morphism is built (and validated)
-only where one leaves the algebra: the idempotents a split runs along.
-The End basis is not memoized, since it serves only the transient step.
+b_k-coordinate of b_i o b_j): the products at the basis matrix's pivot
+rows give the coordinates, and each vertex's products, formed in one
+contraction, are certified against them by mapping the coordinates back.
+The trace form, commutators, powers and idempotents are then computed on
+coordinates.  A morphism is built only where one leaves the algebra: the
+idempotents a split runs along, whose images and projections are solved
+and validated.  The End basis is not memoized: it serves one step.
 """
 
 from __future__ import annotations
@@ -162,11 +165,11 @@ class QMorphism:
 
     @classmethod
     def _certified(cls, source: QModule, target: QModule, blocks: dict[str, np.ndarray]) -> QMorphism:
-        """A morphism from read-only blocks that a caller has already certified.
+        """A morphism whose blocks are valid by construction: no square check.
 
-        Skips the per-arrow square check: ``_hom_basis_compute`` certifies a
-        whole kernel with one product, which is the same statement for
-        every basis morphism at once.
+        ``_hom_basis_compute`` certifies a whole kernel with one product; a
+        composite, sum, multiple, inverse or dual of valid morphisms, or a
+        combination of a certified basis, is valid, so its squares cannot fail.
         """
         f = cls.__new__(cls)
         f.source, f.target, f.blocks = source, target, blocks
@@ -188,17 +191,20 @@ class QMorphism:
             raise ShapeMismatch("composition endpoints do not match")
         field = self.source.algebra.field
         blocks = {v: field.matmul(self.blocks[v], first.blocks[v]) for v in self.blocks}
-        return QMorphism(first.source, self.target, blocks)
+        return QMorphism._certified(first.source, self.target, blocks)
 
     def add(self, other: QMorphism) -> QMorphism:
+        for mine, theirs in ((self.source, other.source), (self.target, other.target)):
+            if theirs is not mine and not theirs.equal_presentation(mine):
+                raise ShapeMismatch("summands have different endpoints")
         field = self.source.algebra.field
         blocks = {v: field.add(self.blocks[v], other.blocks[v]) for v in self.blocks}
-        return QMorphism(self.source, self.target, blocks)
+        return QMorphism._certified(self.source, self.target, blocks)
 
     def scale(self, c: int) -> QMorphism:
         field = self.source.algebra.field
         blocks = {v: field.scale(c, self.blocks[v]) for v in self.blocks}
-        return QMorphism(self.source, self.target, blocks)
+        return QMorphism._certified(self.source, self.target, blocks)
 
     def negate(self) -> QMorphism:
         return self.scale(-1)
@@ -225,7 +231,7 @@ class QMorphism:
             if inv is None:
                 raise ValueError("morphism is not invertible")
             blocks[v] = inv
-        return QMorphism(self.target, self.source, blocks)
+        return QMorphism._certified(self.target, self.source, blocks)
 
     def trace(self) -> int:
         field = self.source.algebra.field
@@ -242,7 +248,7 @@ class QMorphism:
 
 def identity_morphism(m: QModule) -> QMorphism:
     field = m.algebra.field
-    return QMorphism(m, m, {v: field.identity(m.dims[v]) for v in m.dims})
+    return QMorphism._certified(m, m, {v: field.identity(m.dims[v]) for v in m.dims})
 
 
 def zero_morphism(source: QModule, target: QModule) -> QMorphism:
@@ -493,14 +499,14 @@ def transport_module(m: QModule, algebra: BoundQuiverAlgebra) -> QModule:
 
 def dualize_morphism(f: QMorphism) -> QMorphism:
     """Contravariant dual: a morphism D(target) -> D(source)."""
-    return QMorphism(dualize(f.target), dualize(f.source), {v: b.T.copy() for v, b in f.blocks.items()})
+    return QMorphism._certified(dualize(f.target), dualize(f.source), {v: b.T.copy() for v, b in f.blocks.items()})
 
 
 def direct_sum(algebra: BoundQuiverAlgebra, modules: list[QModule]) -> QModule:
     """The sum of ``modules`` with block-diagonal arrow maps, in the given order.
 
     Cached per tuple of summand objects, so covers with the same
-    generators share one module.
+    generators share one module; ``split_summands`` reads its summands.
     """
     for m in modules:
         if m.algebra is not algebra:
@@ -521,7 +527,9 @@ def _direct_sum_compute(algebra: BoundQuiverAlgebra, modules: list[QModule]) -> 
             ro += t
             co += s
         maps[a.name] = mat
-    return QModule(algebra, dims, maps)
+    total = QModule(algebra, dims, maps)
+    memo(algebra, "summands", total, lambda: tuple(modules))
+    return total
 
 
 def direct_sum_with_maps(
@@ -638,8 +646,8 @@ def _trace_pairing(field, left: dict[str, np.ndarray], right: dict[str, np.ndarr
 class _EndData:
     """End(M) in the coordinates of one basis, with its structure constants.
 
-    Basis blocks are kept as one stack (n, d_v, d_v) per vertex.  A left
-    inverse of the basis matrix turns vectors into coordinates, and every
+    Basis blocks are kept as one stack (n, d_v, d_v) per vertex.  The inverse
+    of the basis matrix's pivot rows turns vectors into coordinates, and every
     coordinate vector is certified by mapping it back.  The basis is not
     memoized: it only serves this transient object.
     """
@@ -652,25 +660,24 @@ class _EndData:
         self.stacks = _stacks(m, m, self.basis)
         self.vecs = np.concatenate([s.reshape(n, -1) for s in self.stacks.values()], axis=1).T
         # rref([vecs^T | I]) = [E vecs^T | E]: E inverts the pivot rows of vecs
-        r, pivots, _ = field.rref(np.hstack([self.vecs.T, field.identity(n)]))
-        self.left = field.zeros(n, self.vecs.shape[0])
-        self.left[:, pivots] = r[:, self.vecs.shape[0] :].T
+        r, self.pivots, _ = field.rref(np.hstack([self.vecs.T, field.identity(n)]))
+        self.pivot_inverse = r[:, self.vecs.shape[0] :].T
 
     def coords_many(self, vecs: np.ndarray) -> np.ndarray:
         """Coordinates of the columns of ``vecs`` (flattened endomorphisms)."""
-        c = self.field.matmul(self.left, vecs)
+        c = self.field.matmul(self.pivot_inverse, vecs[self.pivots])
         if not np.array_equal(self.field.matmul(self.vecs, c), vecs):
             raise RuntimeError("endomorphism outside End basis span")
         return c
 
     def from_coords(self, c: np.ndarray) -> QMorphism:
-        """The endomorphism with coordinates ``c``, validated like any other."""
+        """The endomorphism with coordinates ``c``: a combination of the certified basis."""
         n = len(self.basis)
         blocks = {
             v: self.field.matmul(c.reshape(1, n), s.reshape(n, -1)).reshape(s.shape[1:])
             for v, s in self.stacks.items()
         }
-        return QMorphism(self.module, self.module, blocks)
+        return QMorphism._certified(self.module, self.module, blocks)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -679,15 +686,24 @@ class _EndData:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """T[k, i, j]: the coordinate at b_k of the product b_i o b_j."""
+        """T[k, i, j]: the coordinate at b_k of the product b_i o b_j.
+
+        From the products' pivot rows; the span is certified a vertex at a time.
+        """
         field, n = self.field, len(self.basis)
-        products = np.empty((self.vecs.shape[0], n * n), dtype=np.int64)
-        row = 0
-        for s in self.stacks.values():
-            d = s.shape[1]
-            products[row : row + d * d] = _block_products(field, s, s)
-            row += d * d
-        return self.coords_many(products).reshape(n, n, n)
+        stacks = [s for s in self.stacks.values() if s.shape[1]]
+        starts = np.cumsum([0] + [s.shape[1] ** 2 for s in stacks])
+        pivots, at_pivots = np.array(self.pivots, dtype=np.int64), []
+        for s, start, end in zip(stacks, starts, starts[1:]):
+            # pivot row (a, c) at this vertex: row a of each b_i times column c of each b_j
+            a, c = np.divmod(pivots[(start <= pivots) & (pivots < end)] - start, s.shape[1])
+            left, right = s[:, a].transpose(1, 0, 2), s[:, :, c].transpose(2, 1, 0)
+            at_pivots.append(field.blockwise_sum(s.shape[1], lambda t: left[:, :, t] @ right[:, t]))
+        coords = field.matmul(self.pivot_inverse, np.concatenate(at_pivots).reshape(n, n * n))
+        for s, start, end in zip(stacks, starts, starts[1:]):
+            if not np.array_equal(field.matmul(self.vecs[start:end], coords), _block_products(field, s, s)):
+                raise RuntimeError("endomorphism outside End basis span")
+        return coords.reshape(n, n, n)
 
     @cached_property
     def one(self) -> np.ndarray:
@@ -719,8 +735,10 @@ def split_summands(
     """All indecomposable summands of m with inclusions and projections.
 
     Indecomposability of each returned piece is certified through the
-    endomorphism algebra (End/rad is a field), never assumed.  Results are
-    cached per (module object, seed).
+    endomorphism algebra (End/rad is a field), never assumed; a ``direct_sum``
+    of several modules reuses their certified pieces through its canonical
+    maps (by Krull-Schmidt, the multiset End gives).  Results are cached per
+    (module object, seed).
     """
     if m.total_dim == 0:
         return []
@@ -730,8 +748,14 @@ def split_summands(
 
 
 def _split_summands_compute(m: QModule, seed: int) -> tuple[tuple[QModule, QMorphism, QMorphism], ...]:
-    result = []
-    stack = [(m, identity_morphism(m), identity_morphism(m))]
+    summands = memo(m.algebra, "summands", m, tuple)
+    result, stack = [], []
+    if len(summands) > 1:
+        _, injections, projections = direct_sum_with_maps(m.algebra, list(summands))
+        for part, inj, pr in zip(summands, injections, projections):
+            result += [(piece, inj.compose(i), p.compose(pr)) for piece, i, p in split_summands(part, seed)]
+    else:
+        stack.append((m, identity_morphism(m), identity_morphism(m)))
     while stack:
         cur, incl, proj = stack.pop()
         if cur.total_dim == 0:

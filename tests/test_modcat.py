@@ -2,19 +2,33 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverglue import PrimeField, QModule, QMorphism, Quiver, build_algebra, relation
 from quiverglue import homology as hgy
 from quiverglue import modcat
+from quiverglue.algebra import memo
 from quiverglue.bundled import load_workspace
-from quiverglue.errors import AlgebraMismatch, FieldTooSmall, NonIntegerEntries, UniverseInconsistent
+from quiverglue.errors import (
+    AlgebraMismatch,
+    FieldTooSmall,
+    NonIntegerEntries,
+    ShapeMismatch,
+    UniverseInconsistent,
+)
+from quiverglue.glue import glue_tilting
 from quiverglue.modcat import (
     DEFAULT_SEED,
     Universe,
+    _block_products,
     _EndData,
     cokernel,
     decompose,
@@ -34,6 +48,11 @@ from quiverglue.modcat import (
     split_summands,
     top_quotient,
 )
+
+
+def unshared(m):
+    """A copy of m built with ``QModule``: no recorded summands, so it splits through End(m)."""
+    return QModule(m.algebra, m.dims, m.maps)
 
 
 def test_relation_compliance_enforced(bound_a3):
@@ -315,8 +334,9 @@ def test_decompose_seed_independent(workspace, seed):
         total,
         [universe.module("(P(1)|P(3))"), universe.module("(S(2)|0)"), universe.module("(S(2)|0)")],
     )
-    names = universe.decompose_names(m, seed=seed)
-    assert names == {"(P(1)|P(3))": 1, "(S(2)|0)": 2}
+    for route in (m, unshared(m)):
+        names = universe.decompose_names(route, seed=seed)
+        assert names == {"(P(1)|P(3))": 1, "(S(2)|0)": 2}
 
 
 def test_split_summands_give_inclusion_projection(workspace):
@@ -339,8 +359,9 @@ def test_decompose_reassembles_to_original(workspace, seed):
     mods = universe.modules()
     picks = [mods[int(k)] for k in rng.integers(0, len(mods), size=3)]
     original = direct_sum(total, picks)
-    rebuilt = direct_sum(total, [rep for rep, mult in decompose(original) for _ in range(mult)])
-    assert is_isomorphic(original, rebuilt) is not None
+    for route in (original, unshared(original)):
+        rebuilt = direct_sum(total, [rep for rep, mult in decompose(route) for _ in range(mult)])
+        assert is_isomorphic(route, rebuilt) is not None
 
 
 def test_field_too_small_guard():
@@ -470,13 +491,14 @@ def test_hom_basis_blocks_are_read_only(workspace):
 # -- the End(M) kernel -------------------------------------------------------
 
 
-def a7_interval_sum(parts, seed):
-    """A fresh path algebra A7 (1 -> ... -> 7) and the sum of the given
-    intervals [i, j] (0-based positions), conjugated per vertex by a
-    random invertible matrix."""
+def a7_interval_sum(parts, seed, algebra=None):
+    """The sum of the given intervals [i, j] (0-based positions) over a
+    path algebra A7 (1 -> ... -> 7), fresh unless one is given,
+    conjugated per vertex by a random invertible matrix."""
     vertices = [str(v) for v in range(1, 8)]
-    quiver = Quiver(vertices, [(f"a{v}", v, w) for v, w in zip(vertices, vertices[1:])])
-    algebra = build_algebra(quiver, [], field=PrimeField(101), name="A7")
+    if algebra is None:
+        quiver = Quiver(vertices, [(f"a{v}", v, w) for v, w in zip(vertices, vertices[1:])])
+        algebra = build_algebra(quiver, [], field=PrimeField(101), name="A7")
     field = algebra.field
     rng = np.random.default_rng(seed)
     dims = {v: sum(i <= k <= j for i, j in parts) for k, v in enumerate(vertices)}
@@ -603,21 +625,21 @@ def test_kronecker_regular_is_certified_indecomposable(kronecker_regular):
 def test_kronecker_square_splits_into_two_copies(kronecker_regular):
     # End/rad = M_2(F_{p^2}) as an F_p-algebra: few endomorphisms have eigenvalues in F_p
     u = kronecker_regular
-    assert_summands(split_summands(direct_sum(u.algebra, [u, u])), [u, u])
+    assert_summands(split_summands(unshared(direct_sum(u.algebra, [u, u]))), [u, u])
 
 
 @kronecker_primes
 def test_kronecker_with_a_simple_splits_through_the_commutative_branch(kronecker_regular, monkeypatch):
     u = kronecker_regular
     s1 = simple(u.algebra, "1")
-    assert_summands(split_summands(direct_sum(u.algebra, [u, s1, u])), [u, u, s1])
+    assert_summands(split_summands(unshared(direct_sum(u.algebra, [u, s1, u]))), [u, u, s1])
 
     def no_search(seed):
         raise AssertionError("the seeded search ran")
 
     # End/rad = F_{p^2} x F_p is commutative: Frobenius finds the split
     monkeypatch.setattr(np.random, "default_rng", no_search)
-    assert_summands(split_summands(direct_sum(u.algebra, [s1, u])), [u, s1])
+    assert_summands(split_summands(unshared(direct_sum(u.algebra, [s1, u]))), [u, s1])
 
 
 @kronecker_primes
@@ -647,9 +669,9 @@ def test_split_does_not_depend_on_the_end_basis(kronecker_regular, monkeypatch):
     monkeypatch.setattr(modcat, "_hom_basis_compute", random_end_basis)
     s1, s2 = simple(u.algebra, "1"), simple(u.algebra, "2")
     for _ in range(3):
-        assert_summands(split_summands(direct_sum(u.algebra, [u, u])), [u, u])
-        assert_summands(split_summands(direct_sum(u.algebra, [u, s1, u])), [u, u, s1])
-        assert_summands(split_summands(direct_sum(u.algebra, [s1, s2, s1])), [s2, s1, s1])
+        assert_summands(split_summands(unshared(direct_sum(u.algebra, [u, u]))), [u, u])
+        assert_summands(split_summands(unshared(direct_sum(u.algebra, [u, s1, u]))), [u, u, s1])
+        assert_summands(split_summands(unshared(direct_sum(u.algebra, [s1, s2, s1]))), [s2, s1, s1])
 
 
 @pytest.mark.parametrize("kronecker_regular", [100000007, 3037000493], indirect=True)
@@ -658,7 +680,7 @@ def test_decompose_at_a_large_prime_allocates_little(kronecker_regular):
     # At 3037000493, (p-1)^2 just fits in int64 and max_inner is 1, so every
     # product of End(M) (matmul and the einsum in _EndData.mul) is summed block by block
     u = kronecker_regular
-    m = direct_sum(u.algebra, [u, simple(u.algebra, "1"), u])
+    m = unshared(direct_sum(u.algebra, [u, simple(u.algebra, "1"), u]))
     tracemalloc.start()
     try:
         parts = decompose(m)
@@ -667,3 +689,212 @@ def test_decompose_at_a_large_prime_allocates_little(kronecker_regular):
         tracemalloc.stop()
     assert sorted((rep.dim_vector(), mult) for rep, mult in parts) == [((1, 0), 1), ((2, 2), 2)]
     assert peak < 2 * 2**20
+
+
+# -- derived morphisms are certified by construction ---------------------------
+
+A7_INTERVALS = [(i, j) for i in range(7) for j in range(i, 7)]
+closure_settings = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+
+
+def kronecker_module(algebra, dims, rng):
+    maps = {a: rng.integers(0, algebra.field.p, size=(dims[1], dims[0])) for a in "ab"}
+    return QModule(algebra, {"1": dims[0], "2": dims[1]}, maps)
+
+
+@st.composite
+def module_pairs(draw):
+    """Two nonzero modules over one fresh algebra: A7 interval sums in a random
+    basis, or Kronecker modules (1 => 2) with random maps."""
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        parts = st.lists(st.sampled_from(A7_INTERVALS), min_size=1, max_size=3)
+        m = a7_interval_sum(draw(parts), seed)
+        return m, a7_interval_sum(draw(parts), seed + 1, m.algebra)
+    quiver = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    algebra = build_algebra(quiver, [], field=PrimeField(101), name="kronecker")
+    rng = np.random.default_rng(seed)
+    dims = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+    return kronecker_module(algebra, draw(dims), rng), kronecker_module(algebra, draw(dims), rng)
+
+
+def random_combination(source, target, rng):
+    f = modcat.zero_morphism(source, target)
+    for b in hom_basis(source, target):
+        f = f.add(b.scale(int(rng.integers(0, source.algebra.field.p))))
+    return f
+
+
+def assert_revalidates(f):
+    """Rebuilt through the validating constructor, f passes every square check unchanged."""
+    again = QMorphism(f.source, f.target, f.blocks)
+    assert np.array_equal(again.to_vector(), f.to_vector())
+
+
+@closure_settings
+@given(module_pairs(), st.integers(0, 2**16))
+def test_derived_morphisms_are_valid_morphisms(pair, seed):
+    m, n = pair
+    field = m.algebra.field
+    rng = np.random.default_rng(seed)
+    f, h = random_combination(m, n, rng), random_combination(m, n, rng)
+    g = random_combination(n, m, rng)
+    c = int(rng.integers(0, field.p))
+    end = _EndData(m)
+    coords = rng.integers(0, field.p, size=len(end.basis))
+    auto = end.from_coords(coords)
+    derived = [
+        g.compose(f), f.compose(g), f.add(h), f.scale(c), f.negate(), identity_morphism(m),
+        dualize_morphism(f), auto, g.compose(f.add(h)).add(identity_morphism(m)),
+    ]
+    if auto.is_isomorphism():
+        derived.append(auto.inverse())
+    for d in derived:
+        assert_revalidates(d)
+    # the values are the block-wise formulas
+    for v in m.dims:
+        assert np.array_equal(g.compose(f).blocks[v], (g.blocks[v] @ f.blocks[v]) % field.p)
+        assert np.array_equal(f.add(h).blocks[v], (f.blocks[v] + h.blocks[v]) % field.p)
+        assert np.array_equal(f.scale(c).blocks[v], c * f.blocks[v] % field.p)
+        assert np.array_equal(f.negate().blocks[v], -f.blocks[v] % field.p)
+        assert np.array_equal(dualize_morphism(f).blocks[v], f.blocks[v].T)
+        combination = sum(int(k) * b.blocks[v] for k, b in zip(coords, end.basis)) % field.p
+        assert np.array_equal(auto.blocks[v], combination)
+        if auto.is_isomorphism():
+            assert np.array_equal(auto.inverse().blocks[v] @ auto.blocks[v] % field.p, np.eye(m.dims[v]))
+    assert dualize_morphism(f).source is dualize(n) and dualize_morphism(f).target is dualize(m)
+
+
+def test_add_refuses_different_endpoints(kronecker_modules):
+    a, b = _kernels_with_equal_dims(kronecker_modules)[0]
+    s = simple(a.algebra, "1")
+    # two zero morphisms: no square can fail, only the endpoint check catches the mismatch
+    with pytest.raises(ShapeMismatch, match="different endpoints"):
+        modcat.zero_morphism(s, a).add(modcat.zero_morphism(s, b))
+    with pytest.raises(ShapeMismatch, match="different endpoints"):
+        modcat.zero_morphism(a, s).add(modcat.zero_morphism(b, s))
+    # an equal presentation is the same endpoint
+    total = modcat.zero_morphism(s, a).add(modcat.zero_morphism(s, unshared(a)))
+    assert total.source is s and total.target is a
+
+
+def test_derived_morphisms_skip_the_square_check(end_modules, monkeypatch):
+    m = end_modules[2]
+    f, g = hom_basis(m, m)[:2]
+    end = _EndData(m)
+
+    def refuse(self):
+        raise AssertionError("square check ran")
+
+    monkeypatch.setattr(QMorphism, "_check_squares", refuse)
+    inverse = identity_morphism(m).scale(3).inverse()
+    for d in (f.compose(g), f.add(g), f.negate(), inverse, dualize_morphism(f), end.from_coords(end.one)):
+        assert d.source.dim_vector() == m.dim_vector()
+
+
+# -- direct sums split through their summands ----------------------------------
+
+
+def assert_splits_through_summands(parts, monkeypatch, universe=None):
+    """split_summands(direct_sum(parts)) is the parts' own splits, with canonical
+    inclusions and projections, and matches the End route on an unshared copy."""
+    algebra = parts[0].algebra
+    m = direct_sum(algebra, parts)
+    ended = []
+    split_once = modcat._split_module_once
+    monkeypatch.setattr(modcat, "_split_module_once", lambda cur, seed: ended.append(cur) or split_once(cur, seed))
+    # past the split memo, which may already hold m
+    pieces = modcat._split_summands_compute(m, DEFAULT_SEED)
+    monkeypatch.undo()
+    assert all(cur is not m for cur in ended)
+    assert [id(piece) for piece, _, _ in split_summands(m)] == [id(piece) for piece, _, _ in pieces]
+    own = [piece for part in parts for piece, _, _ in split_summands(part)]
+    own.sort(key=lambda piece: (-piece.total_dim, piece.dim_vector()))
+    assert [id(piece) for piece, _, _ in pieces] == [id(piece) for piece in own]
+    field = algebra.field
+    total = modcat.zero_morphism(m, m)
+    for piece, incl, proj in pieces:
+        assert (incl.source, incl.target, proj.source, proj.target) == (piece, m, m, piece)
+        assert_revalidates(incl)
+        assert_revalidates(proj)
+        assert np.array_equal(proj.compose(incl).to_vector(), identity_morphism(piece).to_vector())
+        total = total.add(incl.compose(proj))
+    assert np.array_equal(total.to_vector(), identity_morphism(m).to_vector())
+    # the End route on an unshared copy finds the same multiset
+    copy = unshared(m)
+    assert sorted(piece.dim_vector() for piece, _, _ in split_summands(copy)) == sorted(
+        piece.dim_vector() for piece in own
+    )
+    if universe is not None:
+        assert universe.decompose_names(m) == universe.decompose_names(copy)
+    else:
+        counts = [sorted((rep.dim_vector(), mult) for rep, mult in decompose(x)) for x in (m, copy)]
+        assert counts[0] == counts[1]
+    return pieces
+
+
+def test_nested_sums_split_through_their_summands(monkeypatch):
+    a = a7_interval_sum([(0, 2), (1, 4)], seed=1)
+    algebra = a.algebra
+    b, c = a7_interval_sum([(3, 6)], 2, algebra), a7_interval_sum([(2, 2), (2, 5)], 3, algebra)
+    inner = direct_sum(algebra, [a, b])
+    pieces = assert_splits_through_summands([inner, c], monkeypatch)
+    assert len(pieces) == 5
+    assert_splits_through_summands([c, direct_sum(algebra, [inner, b])], monkeypatch)
+
+
+def test_sums_with_a_zero_summand_split_through_the_others(monkeypatch):
+    a = a7_interval_sum([(0, 2), (1, 4)], seed=4)
+    zero = modcat.zero_module(a.algebra)
+    pieces = assert_splits_through_summands([zero, a, zero, simple(a.algebra, "3")], monkeypatch)
+    assert len(pieces) == 3
+
+
+def test_repeated_summands_share_their_pieces(monkeypatch, kronecker_regular):
+    u = kronecker_regular
+    s1 = simple(u.algebra, "1")
+    pieces = assert_splits_through_summands([u, s1, u], monkeypatch)
+    assert [piece for piece, _, _ in pieces] == [u, u, s1]
+    assert pieces[0][1] is not pieces[1][1]
+    a = a7_interval_sum([(0, 3), (2, 5), (2, 5)], seed=5)
+    pieces = assert_splits_through_summands([a, a], monkeypatch)
+    assert len(pieces) == 6
+
+
+def load_perfbench_gen(monkeypatch):
+    """The benchmark's input generator, loaded from its file for this test only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_glued_t2_splits_through_its_summands(monkeypatch):
+    # one line-glue job: T2 = i_* T1 + one K per c-side summand over A7
+    gen = load_perfbench_gen(monkeypatch)
+    rec, t1, t3, universes = gen.build_line_glue(next(gen.line_glue_specs(7)))
+    result = glue_tilting(rec, t1, 1, t3, 1, *universes)
+    parts = list(memo(rec.total, "summands", result.t2, tuple))
+    assert direct_sum(rec.total, parts) is result.t2 and len(parts) > 1
+    pieces = assert_splits_through_summands(parts, monkeypatch, universe=universes[2])
+    assert len(pieces) == 7
+
+
+# -- the End(M) structure constants in row chunks ------------------------------
+
+
+def unchunked_table(end):
+    """The structure constants from the whole (sum d_v^2) x n^2 product at once."""
+    products = np.concatenate([_block_products(end.field, s, s) for s in end.stacks.values()])
+    n = len(end.basis)
+    return end.coords_many(products).reshape(n, n, n)
+
+
+def test_chunked_table_equals_the_unchunked_one(end_modules):
+    big = a7_interval_sum([(0, 3), (0, 3), (1, 5), (2, 6), (3, 3), (0, 6)], seed=6)
+    ends = [_EndData(m) for m in [*end_modules, big]]
+    assert len(ends[-1].basis) >= 8
+    for end in ends:
+        assert np.array_equal(end.table, unchunked_table(end))
