@@ -44,7 +44,6 @@ from . import homology as hgy
 from .algebra import memo
 from .errors import KernelNotInV, NotSurjective, NotTilting, PreconditionFailed
 from .modcat import (
-    DEFAULT_SEED,
     QModule,
     QMorphism,
     _stacks,
@@ -86,9 +85,9 @@ class CoresolutionWitness:
         return len(self.steps)
 
 
-def in_add(m: QModule, reps: list[QModule], seed: int = DEFAULT_SEED) -> bool:
+def in_add(m: QModule, reps: list[QModule]) -> bool:
     """Whether every indecomposable summand of m matches some rep."""
-    for piece, _ in decompose(m, seed):
+    for piece, _ in decompose(m):
         if not any(indecomposable_iso(rep, piece) is not None for rep in reps):
             return False
     return True
@@ -287,9 +286,7 @@ def universal_extension(
 # -- special approximation sequences -----------------------------------------
 
 
-def special_preenvelope_tilting(
-    a: QModule, t: QModule, n: int, seed: int = DEFAULT_SEED
-) -> ApproxSequence:
+def special_preenvelope_tilting(a: QModule, t: QModule, n: int) -> ApproxSequence:
     """0 -> A -> V -> U -> 0 with Ext^i(T, V) = 0 and U in the wedge of T.
 
     Degree-descending: the step for degree j extends by copies of the
@@ -316,11 +313,9 @@ def special_preenvelope_tilting(
     ext_checks = {i: hgy.ext(t, v, i).dimension for i in range(1, n + 1)}
     if any(ext_checks.values()):
         raise RuntimeError(f"preenvelope failed to clear Ext: {ext_checks}")
-    witness = in_T_wedge(u, t, n, seed=seed)
-    certificates = {
-        "ext_T_V": ext_checks,
-        "quotient_in_wedge": witness is not None,
-    }
+    if in_T_wedge(u, t, n) is None:
+        raise RuntimeError("preenvelope failed the quotient_in_wedge certificate")
+    certificates = {"ext_T_V": ext_checks, "quotient_in_wedge": True}
     return ApproxSequence(kind="preenvelope", seq=ses, certificates=certificates)
 
 
@@ -328,7 +323,6 @@ def special_precover_universe(
     x: QModule,
     u_list: list[QModule],
     v_list: list[QModule],
-    seed: int = DEFAULT_SEED,
 ) -> ApproxSequence:
     """0 -> K -> U0 -> X -> 0 from the minimal right add(U)-approximation.
 
@@ -345,7 +339,7 @@ def special_precover_universe(
     bad = [i for i, u in enumerate(u_list) if k.total_dim and u.total_dim and hgy.ext(u, k, 1).dimension]
     if bad:
         raise KernelNotInV(f"Ext^1(U, K) != 0 for U at positions {bad}")
-    if not in_add(k, v_list, seed=seed):
+    if not in_add(k, v_list):
         raise KernelNotInV("kernel has a summand outside the V class")
     return ApproxSequence(
         kind="precover",
@@ -358,7 +352,6 @@ def special_preenvelope_universe(
     x: QModule,
     u_list: list[QModule],
     v_list: list[QModule],
-    seed: int = DEFAULT_SEED,
 ) -> ApproxSequence:
     """0 -> X -> V0 -> C -> 0 from the minimal left add(V)-approximation."""
     f = minimal_left_approximation(x, v_list)
@@ -370,7 +363,7 @@ def special_preenvelope_universe(
     bad = [i for i, v in enumerate(v_list) if c.total_dim and v.total_dim and hgy.ext(c, v, 1).dimension]
     if bad:
         raise KernelNotInV(f"Ext^1(C, V) != 0 for V at positions {bad}")
-    if not in_add(c, u_list, seed=seed):
+    if not in_add(c, u_list):
         raise KernelNotInV("cokernel has a summand outside the U class")
     return ApproxSequence(
         kind="preenvelope",
@@ -382,15 +375,13 @@ def special_preenvelope_universe(
 # -- wedge membership ---------------------------------------------------------
 
 
-def in_T_wedge(
-    x: QModule, t: QModule, n: int, seed: int = DEFAULT_SEED
-) -> CoresolutionWitness | None:
+def in_T_wedge(x: QModule, t: QModule, n: int) -> CoresolutionWitness | None:
     """Accept X with an exact add(T)-coresolution of length <= n, else None."""
-    t_reps = [rep for rep, _ in decompose(t, seed)]
+    t_reps = [rep for rep, _ in decompose(t)]
     steps: list[hgy.ShortExactSequence] = []
     current = x
     for depth in range(n + 1):
-        if current.total_dim == 0 or in_add(current, t_reps, seed=seed):
+        if current.total_dim == 0 or in_add(current, t_reps):
             return CoresolutionWitness(start=x, steps=tuple(steps), final=current)
         if depth == n:
             return None
@@ -405,9 +396,6 @@ def in_T_wedge(
     return None
 
 
-def in_T_covee(
-    x: QModule, t: QModule, n: int, seed: int = DEFAULT_SEED
-) -> CoresolutionWitness | None:
+def in_T_covee(x: QModule, t: QModule, n: int) -> CoresolutionWitness | None:
     """Dual membership: X admits an add(T)-resolution of length <= n."""
-    witness = in_T_wedge(dualize(x), dualize(t), n, seed)
-    return witness
+    return in_T_wedge(dualize(x), dualize(t), n)

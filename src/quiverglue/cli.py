@@ -32,7 +32,6 @@ from .errors import (
     UniverseInconsistent,
     UnknownName,
 )
-from .modcat import DEFAULT_SEED
 from .recollement import build_recollement
 from .textio import parse_algebra, parse_module, parse_universe
 
@@ -82,7 +81,7 @@ def _run_tilting_check(args, kind: str) -> int:
     algebra = _load_algebra(args.algebra, args.prime)
     name, module = parse_module(Path(args.module).read_text(), algebra)
     verify = tl.verify_tilting if kind == "tilting" else tl.verify_cotilting
-    check = verify(module, args.n, seed=args.seed)
+    check = verify(module, args.n)
     verdict = "PASS" if check.ok else "FAIL"
     print(f"{kind} check for {name} with n={args.n}: {verdict}")
     for failure in check.failures:
@@ -105,7 +104,7 @@ def cmd_cotorsion(args) -> int:
     builder = (
         tl.cotorsion_pair_from_tilting if args.kind == "tilting" else tl.cotorsion_pair_from_cotilting
     )
-    pair = builder(module, args.n, universe, seed=args.seed)
+    pair = builder(module, args.n, universe)
     print(f"{args.kind} cotorsion pair from {name} (n={args.n}):")
     print("U: " + " ".join(pair.u_names))
     print("V: " + " ".join(pair.v_names))
@@ -145,9 +144,7 @@ def _glue_common(args, glue_fn) -> int:
     universe_a = parse_universe(Path(args.universe_a), rec.a_algebra)
     universe_c = parse_universe(Path(args.universe_c), rec.c_algebra)
     universe_b = parse_universe(Path(args.universe_b), algebra)
-    result = glue_fn(
-        rec, t1, args.n1, t3, args.n3, universe_a, universe_c, universe_b, seed=args.seed
-    )
+    result = glue_fn(rec, t1, args.n1, t3, args.n3, universe_a, universe_c, universe_b)
     names = sorted(result.decomposition)
     print(f"glued module: {' '.join(f'{n}x{result.decomposition[n]}' for n in names)}")
     print(f"degree n2 = {result.n2}")
@@ -168,7 +165,7 @@ def cmd_verify_universe(args) -> int:
     algebra = _load_algebra(args.algebra, args.prime)
     universe = parse_universe(Path(args.universe), algebra)
     try:
-        universe.validate(seed=args.seed)
+        universe.validate()
     except UniverseInconsistent as exc:
         print(f"universe FAILED: {exc}")
         return EXIT_MISMATCH
@@ -188,7 +185,7 @@ def cmd_reproduce(args) -> int:
         for name in absent:
             print(f"  missing {name}")
         return EXIT_MISMATCH
-    workspace.universe_b.validate(seed=args.seed)
+    workspace.universe_b.validate()
     glue_fn = glue.glue_tilting if kind == "tilting" else glue.glue_cotilting
     result = glue_fn(
         workspace.recollement,
@@ -199,7 +196,6 @@ def cmd_reproduce(args) -> int:
         workspace.universe_a,
         workspace.universe_c,
         workspace.universe_b,
-        seed=args.seed,
     )
     print(f"example {args.example}: glued {kind} module")
     for name in sorted(result.decomposition):
@@ -222,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     import os
 
     env_prime = os.environ.get("QUIVERGLUE_PRIME")
-    env_seed = os.environ.get("QUIVERGLUE_SEED")
     parser = argparse.ArgumentParser(
         prog="quiverglue",
         description="tilting-theoretic gluing across recollements of quiver module categories",
@@ -233,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed", type=lambda s: int(s, 0),
-        default=int(env_seed, 0) if env_seed else DEFAULT_SEED,
-        help="seed for module decomposition (default: QUIVERGLUE_SEED or 0xC0FFEE)",
+        help="accepted and ignored: decomposition is deterministic, so no seed has any effect",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -29,7 +29,6 @@ from .approx import (
 )
 from .errors import ExactnessMissing, PreconditionFailed, UniverseInconsistent
 from .modcat import (
-    DEFAULT_SEED,
     QModule,
     QMorphism,
     Universe,
@@ -84,7 +83,6 @@ def glued_classes(
     pair_a: CotorsionPairData,
     pair_c: CotorsionPairData,
     universe_b: Universe,
-    seed: int = DEFAULT_SEED,
     verify_approximations: bool = True,
 ) -> GluedPair:
     """Compute and certify the glued pair from pairs on the outer categories."""
@@ -100,8 +98,8 @@ def glued_classes(
     v2_names = [
         name
         for name, b in universe_b.members
-        if in_add(rec.i_shriek(b), v1_mods, seed=seed)
-        and in_add(rec.j_upper_star(b), v3_mods, seed=seed)
+        if in_add(rec.i_shriek(b), v1_mods)
+        and in_add(rec.j_upper_star(b), v3_mods)
     ]
     v2_mods = [universe_b.module(n) for n in v2_names]
     u2_names = _perp_in_universe(universe_b, v2_mods, range(1, 2), left=True)
@@ -111,8 +109,8 @@ def glued_classes(
     candidate_names = {
         name
         for name, b in universe_b.members
-        if in_add(rec.i_upper_star(b), u1_mods, seed=seed)
-        and in_add(rec.j_upper_star(b), u3_mods, seed=seed)
+        if in_add(rec.i_upper_star(b), u1_mods)
+        and in_add(rec.j_upper_star(b), u3_mods)
     }
     stray = [n for n in u2_names if n not in candidate_names]
     if stray:
@@ -129,8 +127,8 @@ def glued_classes(
 
     if verify_approximations:
         for name, x in universe_b.members:
-            special_precover_universe(x, u2_mods, v2_mods, seed=seed)
-            special_preenvelope_universe(x, u2_mods, v2_mods, seed=seed)
+            special_precover_universe(x, u2_mods, v2_mods)
+            special_preenvelope_universe(x, u2_mods, v2_mods)
         checks["approximations"] = True
 
     v2_set = set(v2_names)
@@ -165,7 +163,6 @@ def k_construction(
     pair_a: CotorsionPairData,
     glued: GluedPair | None = None,
     pair_c: CotorsionPairData | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> KConstruction:
     """Build K for one indecomposable c-side summand via the pushout square.
 
@@ -190,7 +187,7 @@ def k_construction(
 
     jt = rec.j_lower_shriek(t3_summand)
     z = rec.i_shriek(jt)
-    env = special_preenvelope_tilting(z, t1, n1, seed=seed)
+    env = special_preenvelope_tilting(z, t1, n1)
 
     theta = rec.unit_i(jt)  # i_* i^! j_! T'' -> j_! T''
     incl_i = rec.i_star_mor(env.seq.incl)  # i_* z -> i_* V
@@ -223,7 +220,7 @@ def k_construction(
 
     member_names = None
     if glued is not None:
-        member_names = glued.universe.decompose_names(k_mod, seed=seed)
+        member_names = glued.universe.decompose_names(k_mod)
         outside = [n for n in member_names if n not in set(glued.t2_names)]
         if outside:
             raise UniverseInconsistent(f"K has summands outside the glued core: {outside}")
@@ -257,31 +254,30 @@ def glue_tilting(
     universe_a: Universe,
     universe_c: Universe,
     universe_b: Universe,
-    seed: int = DEFAULT_SEED,
     verify_approximations: bool = True,
 ) -> GlueResult:
     """Glue tilting modules: T2 = i_* T1 (+) K over the c-side summands."""
     _require_exactness(rec)
-    verify_tilting(t1, n1, seed=seed).require()
-    verify_tilting(t3, n3, seed=seed).require()
-    pair_a = _pair_from_verified(t1, n1, universe_a, seed, "tilting")
-    pair_c = _pair_from_verified(t3, n3, universe_c, seed, "tilting")
+    verify_tilting(t1, n1).require()
+    verify_tilting(t3, n3).require()
+    pair_a = _pair_from_verified(t1, n1, universe_a, "tilting")
+    pair_c = _pair_from_verified(t3, n3, universe_c, "tilting")
     glued = glued_classes(
-        rec, pair_a, pair_c, universe_b, seed=seed, verify_approximations=verify_approximations
+        rec, pair_a, pair_c, universe_b, verify_approximations=verify_approximations
     )
 
     parts = [rec.i_star(t1)]
-    for rep, mult in decompose(t3, seed):
-        kc = k_construction(rec, rep, pair_a, glued=glued, seed=seed)
+    for rep, mult in decompose(t3):
+        kc = k_construction(rec, rep, pair_a, glued=glued)
         parts.extend([kc.k] * mult)
     t2 = direct_sum(rec.total, parts)
 
     bound = max(n1, n3)
-    n2 = _least_degree(verify_tilting, t2, bound, seed)
+    n2 = _least_degree(verify_tilting, t2, bound)
     if n2 is None:
         raise UniverseInconsistent(f"glued module is not n-tilting for any n <= {bound}")
 
-    decomposition = universe_b.decompose_names(t2, seed=seed)
+    decomposition = universe_b.decompose_names(t2)
     basic = frozenset(decomposition)
     if basic != frozenset(glued.t2_names):
         raise UniverseInconsistent(
@@ -298,7 +294,7 @@ def glue_tilting(
         checks["pd_u2_within_bound"] = True
     if rec.exactness["i_upper_star"]:
         direct_names = universe_b.decompose_names(
-            direct_sum(rec.total, [rec.i_star(t1), rec.j_lower_shriek(t3)]), seed=seed
+            direct_sum(rec.total, [rec.i_star(t1), rec.j_lower_shriek(t3)])
         )
         if frozenset(direct_names) != basic:
             raise UniverseInconsistent("exact-i^* shortcut disagrees with the pushout route")
@@ -322,22 +318,21 @@ def glue_cotilting(
     universe_a: Universe,
     universe_c: Universe,
     universe_b: Universe,
-    seed: int = DEFAULT_SEED,
     verify_approximations: bool = True,
 ) -> GlueResult:
     """Glue cotilting modules through the universe route."""
     _require_exactness(rec)
-    verify_cotilting(t1, n1, seed=seed).require()
-    verify_cotilting(t3, n3, seed=seed).require()
-    pair_a = _pair_from_verified(t1, n1, universe_a, seed, "cotilting")
-    pair_c = _pair_from_verified(t3, n3, universe_c, seed, "cotilting")
+    verify_cotilting(t1, n1).require()
+    verify_cotilting(t3, n3).require()
+    pair_a = _pair_from_verified(t1, n1, universe_a, "cotilting")
+    pair_c = _pair_from_verified(t3, n3, universe_c, "cotilting")
     glued = glued_classes(
-        rec, pair_a, pair_c, universe_b, seed=seed, verify_approximations=verify_approximations
+        rec, pair_a, pair_c, universe_b, verify_approximations=verify_approximations
     )
 
     t2 = direct_sum(rec.total, [universe_b.module(n) for n in glued.t2_names])
     bound = max(n1 + 1, n3)
-    n2 = _least_degree(verify_cotilting, t2, bound, seed)
+    n2 = _least_degree(verify_cotilting, t2, bound)
     if n2 is None:
         raise UniverseInconsistent(f"glued module is not n-cotilting for any n <= {bound}")
 
@@ -372,7 +367,6 @@ def dual_glue_cross_check(
     universe_a: Universe,
     universe_c: Universe,
     universe_b: Universe,
-    seed: int = DEFAULT_SEED,
 ) -> tuple[frozenset, frozenset]:
     """Compare glue_cotilting with the dual of glue_tilting on the opposite.
 
@@ -387,8 +381,7 @@ def dual_glue_cross_check(
     equals L.
     """
     cotilt = glue_cotilting(
-        rec, t1, n1, t3, n3, universe_a, universe_c, universe_b,
-        seed=seed, verify_approximations=False,
+        rec, t1, n1, t3, n3, universe_a, universe_c, universe_b, verify_approximations=False
     )
     op_rec = opposite_recollement(rec)
     # duality swaps the outer categories; transport moves the dual
@@ -402,7 +395,6 @@ def dual_glue_cross_check(
         universe_c.dualized().transported(op_rec.a_algebra),
         universe_a.dualized().transported(op_rec.c_algebra),
         universe_b.dualized().transported(op_rec.total),
-        seed=seed,
         verify_approximations=False,
     )
     # universes share member names, so the basic sets compare directly

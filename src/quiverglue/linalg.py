@@ -3,7 +3,7 @@
 Matrices are plain numpy ``int64`` arrays whose entries are canonical
 representatives ``0..p-1``.  All routines are deterministic: elimination
 always picks the first nonzero pivot, so reduced forms, kernel bases and
-image bases depend only on the input, never on a seed.
+image bases depend only on the input, never on random draws.
 
 Entries never overflow int64.  A product of two canonical entries is at
 most (p-1)**2, so ``PrimeField`` rejects every p with (p-1)**2 above

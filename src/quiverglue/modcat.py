@@ -42,8 +42,9 @@ subalgebra F_p[a]: the Frobenius-fixed space of F_p[a] is spanned by its
 primitive idempotents, and Cantor-Zassenhaus separates them with powers
 (b + s)^((p-1)/2), so no step evaluates anything at all p residues.  The
 element a lifts a non-scalar Frobenius-fixed element of S when S is
-commutative; only a non-commutative S falls back to a seeded search for
-a.  The multiset of summands is seed-independent by Krull-Schmidt.
+commutative; only a non-commutative S falls back to a search for a over
+one fixed pseudo-random sequence.  Decomposition is deterministic, and by
+Krull-Schmidt its multiset of summands could not depend on the sequence.
 
 A splitting step first solves for the End basis and stops when it has
 one element (End(m) = F_p).  Only a larger End(M) is built, once per
@@ -74,7 +75,8 @@ from .errors import (
     UnknownVertex,
 )
 
-DEFAULT_SEED = 0xC0FFEE
+# start of the fixed sequence that the non-commutative search draws from
+_SPLIT_SEED = 0xC0FFEE
 
 
 class QModule:
@@ -468,18 +470,17 @@ def injective(algebra: BoundQuiverAlgebra, v: str) -> QModule:
 def dualize(m: QModule) -> QModule:
     """The k-dual as a module over the opposite algebra.
 
-    Cached per object, so dualize(dualize(m)) is m itself and downstream
+    Memoized both ways, so dualize(dualize(m)) is m itself and downstream
     per-object caches (resolutions, hom spaces) stay warm.
     """
-    cached = m.__dict__.get("_dual_cache")
-    if cached is not None:
-        return cached
-    op = m.algebra.opposite()
-    maps = {a.name: m.maps[a.name].T.copy() for a in m.algebra.quiver.arrows}
-    dual = QModule(op, dict(m.dims), maps)
-    m.__dict__["_dual_cache"] = dual
-    dual.__dict__["_dual_cache"] = m
-    return dual
+
+    def build() -> QModule:
+        op = m.algebra.opposite()
+        dual = QModule(op, dict(m.dims), {a.name: m.maps[a.name].T.copy() for a in m.algebra.quiver.arrows})
+        memo(op, "dual", dual, lambda: m)
+        return dual
+
+    return memo(m.algebra, "dual", m, build)
 
 
 def transport_module(m: QModule, algebra: BoundQuiverAlgebra) -> QModule:
@@ -729,38 +730,36 @@ class _EndData:
         return result
 
 
-def split_summands(
-    m: QModule, seed: int = DEFAULT_SEED
-) -> list[tuple[QModule, QMorphism, QMorphism]]:
+def split_summands(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]]:
     """All indecomposable summands of m with inclusions and projections.
 
     Indecomposability of each returned piece is certified through the
     endomorphism algebra (End/rad is a field), never assumed; a ``direct_sum``
     of several modules reuses their certified pieces through its canonical
     maps (by Krull-Schmidt, the multiset End gives).  Results are cached per
-    (module object, seed).
+    module object.
     """
     if m.total_dim == 0:
         return []
     if m.algebra.field.p <= m.total_dim:
         raise FieldTooSmall(f"decomposition needs p > {m.total_dim}, have {m.algebra.field.p}")
-    return list(memo(m.algebra, "split", (m, seed), lambda: _split_summands_compute(m, seed)))
+    return list(memo(m.algebra, "split", m, lambda: _split_summands_compute(m)))
 
 
-def _split_summands_compute(m: QModule, seed: int) -> tuple[tuple[QModule, QMorphism, QMorphism], ...]:
+def _split_summands_compute(m: QModule) -> tuple[tuple[QModule, QMorphism, QMorphism], ...]:
     summands = memo(m.algebra, "summands", m, tuple)
     result, stack = [], []
     if len(summands) > 1:
         _, injections, projections = direct_sum_with_maps(m.algebra, list(summands))
         for part, inj, pr in zip(summands, injections, projections):
-            result += [(piece, inj.compose(i), p.compose(pr)) for piece, i, p in split_summands(part, seed)]
+            result += [(piece, inj.compose(i), p.compose(pr)) for piece, i, p in split_summands(part)]
     else:
         stack.append((m, identity_morphism(m), identity_morphism(m)))
     while stack:
         cur, incl, proj = stack.pop()
         if cur.total_dim == 0:
             continue
-        split = _split_module_once(cur, seed)
+        split = _split_module_once(cur)
         if split is None:
             result.append((cur, incl, proj))
             continue
@@ -770,7 +769,7 @@ def _split_summands_compute(m: QModule, seed: int) -> tuple[tuple[QModule, QMorp
     return tuple(result)
 
 
-def _split_module_once(m: QModule, seed: int) -> list[tuple[QModule, QMorphism, QMorphism]] | None:
+def _split_module_once(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]] | None:
     """One splitting step; None certifies that m is indecomposable.
 
     m is indecomposable exactly when S = End(m)/rad is a field, that is
@@ -798,8 +797,8 @@ def _split_module_once(m: QModule, seed: int) -> list[tuple[QModule, QMorphism, 
         # lifts of a basis of the fixed space: a non-scalar one splits m
         candidates = fixed.T
     else:
-        # S is not a field, so m splits: seeded search for an a with F_p[a] not local
-        rng = np.random.default_rng(seed)
+        # S is not a field, so m splits: search for an a with F_p[a] not local
+        rng = np.random.default_rng(_SPLIT_SEED)
         candidates = (rng.integers(0, field.p, size=n) for _ in range(4096))
     for a in candidates:
         split = _split_along(end, a)
@@ -846,9 +845,9 @@ def _split_along(end: _EndData, a: np.ndarray) -> list[tuple[QModule, QMorphism,
     return pieces
 
 
-def decompose(m: QModule, seed: int = DEFAULT_SEED) -> list[tuple[QModule, int]]:
+def decompose(m: QModule) -> list[tuple[QModule, int]]:
     """Indecomposable summands with multiplicities, canonically ordered."""
-    parts = split_summands(m, seed)
+    parts = split_summands(m)
     groups: list[tuple[QModule, int]] = []
     for piece, _, _ in parts:
         for i, (rep, count) in enumerate(groups):
@@ -878,7 +877,7 @@ def indecomposable_iso(m: QModule, n: QModule) -> QMorphism | None:
     return None
 
 
-def is_isomorphic(m: QModule, n: QModule, seed: int = DEFAULT_SEED) -> QMorphism | None:
+def is_isomorphic(m: QModule, n: QModule) -> QMorphism | None:
     """Exact isomorphism test with witness, via Krull-Schmidt matching."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("isomorphism test requires a common algebra")
@@ -886,8 +885,8 @@ def is_isomorphic(m: QModule, n: QModule, seed: int = DEFAULT_SEED) -> QMorphism
         return None
     if m.total_dim == 0:
         return identity_morphism(m) if n.total_dim == 0 else None
-    parts_m = split_summands(m, seed)
-    parts_n = split_summands(n, seed)
+    parts_m = split_summands(m)
+    parts_n = split_summands(n)
     if len(parts_m) != len(parts_n):
         return None
     used = [False] * len(parts_n)
@@ -941,12 +940,12 @@ class Universe:
             raise UnknownVertex(f"no universe member named {name!r}")
         return self._by_name[name]
 
-    def validate(self, seed: int = DEFAULT_SEED) -> None:
+    def validate(self) -> None:
         """Certify members are indecomposable and pairwise non-isomorphic."""
         for name, mod in self.members:
             if mod.total_dim == 0:
                 raise UniverseInconsistent(f"member {name} is the zero module")
-            parts = split_summands(mod, seed)
+            parts = split_summands(mod)
             if len(parts) != 1:
                 raise UniverseInconsistent(f"member {name} decomposes into {len(parts)} summands")
         for i, (name_a, a) in enumerate(self.members):
@@ -961,10 +960,10 @@ class Universe:
                 return name
         return None
 
-    def decompose_names(self, m: QModule, seed: int = DEFAULT_SEED) -> Counter:
+    def decompose_names(self, m: QModule) -> Counter:
         """Summands of m as a multiset of member names."""
         counts: Counter = Counter()
-        for rep, mult in decompose(m, seed):
+        for rep, mult in decompose(m):
             name = self.find_member(rep)
             if name is None:
                 raise UniverseInconsistent(

@@ -4,11 +4,11 @@ A tilting check runs the three axioms literally: a projective-dimension
 bound, self-orthogonality through degree n, and add(T)-coresolutions of
 every indecomposable projective found by iterated minimal left
 approximations.  The cotilting check runs the mirror axioms on the
-injective side and then the tilting check of the dual module over the
-opposite algebra; the two verdicts must agree.  Only (C2) is independent
-of the dual route: (C1) is pd of the dual, and (C3) tests the same dual
-objects D I(v) = P_op(v) as the dual route's (P3).  What is cross-checked
-is Ext^i(T, T) over the algebra against Ext^i(DT, DT) over its opposite.
+injective side and cross-checks them against the dual module over the
+opposite algebra.  Only (C2) is independent of that dual route: (C1) is
+pd of the dual, and (C3) already tests the dual objects D I(v) = P_op(v).
+So the dual route computes only Ext^i(DT, DT) over the opposite, and its
+table must equal that of Ext^i(T, T) over the algebra.
 
 Cotorsion pairs are always relative to an explicit finite universe.
 Disagreement between the orthogonality route and the coresolution route
@@ -23,7 +23,6 @@ from . import homology as hgy
 from .approx import CoresolutionWitness, in_T_covee, in_T_wedge
 from .errors import NotTilting, PreconditionFailed, UniverseInconsistent
 from .modcat import (
-    DEFAULT_SEED,
     QModule,
     Universe,
     direct_sum,
@@ -56,9 +55,16 @@ class TiltingCheck:
         return self
 
 
-def _check_axioms(
-    t: QModule, n: int, seed: int, kind: str, dimension, target, member
-) -> TiltingCheck:
+def _ext_table(t: QModule, n: int) -> dict[int, int]:
+    """dim Ext^i(T, T) for i = 1..n (empty for the zero module)."""
+    return {i: hgy.ext(t, t, i).dimension for i in range(1, n + 1)} if t.total_dim else {}
+
+
+def _ext_failures(table: dict[int, int], letter: str) -> tuple[str, ...]:
+    return tuple(f"({letter}2) Ext^{i}(T, T) has dimension {d}" for i, d in table.items() if d)
+
+
+def _check_axioms(t: QModule, n: int, kind: str, dimension, target, member) -> TiltingCheck:
     """Run the axioms (P1-P3) of a tilting or (C1-C3) of a cotilting module.
 
     ``dimension`` is pd or injdim, ``target`` builds the indecomposable
@@ -76,17 +82,12 @@ def _check_axioms(
     if dim_value is None:
         failures.append(f"({letter}1) {side} dimension exceeds {n}")
 
-    ext_table = {}
-    if t.total_dim:
-        for i in range(1, n + 1):
-            d = hgy.ext(t, t, i).dimension
-            ext_table[i] = d
-            if d:
-                failures.append(f"({letter}2) Ext^{i}(T, T) has dimension {d}")
+    ext_table = _ext_table(t, n)
+    failures += _ext_failures(ext_table, letter)
 
     witnesses: dict[str, CoresolutionWitness | None] = {}
     for v in t.algebra.quiver.vertices:
-        witness = member(target(t.algebra, v), t, n, seed=seed)
+        witness = member(target(t.algebra, v), t, n)
         witnesses[v] = witness
         if witness is None:
             failures.append(f"({letter}3) {side} at vertex {v} has no add(T)-{witness_name} of length {n}")
@@ -103,18 +104,19 @@ def _check_axioms(
     )
 
 
-def verify_tilting(t: QModule, n: int, seed: int = DEFAULT_SEED) -> TiltingCheck:
+def verify_tilting(t: QModule, n: int) -> TiltingCheck:
     """Check the n-tilting axioms for t, returning a refutation on failure."""
-    return _check_axioms(t, n, seed, "tilting", hgy.pd, projective, in_T_wedge)
+    return _check_axioms(t, n, "tilting", hgy.pd, projective, in_T_wedge)
 
 
-def verify_cotilting(t: QModule, n: int, seed: int = DEFAULT_SEED) -> TiltingCheck:
+def verify_cotilting(t: QModule, n: int) -> TiltingCheck:
     """Check the n-cotilting axioms directly and against the dual route."""
-    direct = _check_axioms(t, n, seed, "cotilting", hgy.injdim, injective, in_T_covee)
-    dual_check = verify_tilting(dualize(t), n, seed=seed)
-    if dual_check.ok != direct.ok:
+    direct = _check_axioms(t, n, "cotilting", hgy.injdim, injective, in_T_covee)
+    dual_table = _ext_table(dualize(t), n)
+    if dual_table != direct.ext_table:
         raise RuntimeError(
-            f"cotilting routes disagree: direct={direct.failures}, dual={dual_check.failures}"
+            f"cotilting routes disagree: direct={_ext_failures(direct.ext_table, 'C')}, "
+            f"dual={_ext_failures(dual_table, 'P')}"
         )
     return direct
 
@@ -196,9 +198,7 @@ def verify_pair_axioms(
     return checks
 
 
-def _pair_from_verified(
-    t: QModule, n: int, universe: Universe, seed: int, kind: str
-) -> CotorsionPairData:
+def _pair_from_verified(t: QModule, n: int, universe: Universe, kind: str) -> CotorsionPairData:
     """The pair generated by a verified (co)tilting t, cross-checked both ways.
 
     T's own class is cut out by Ext^1..n against T (T-perp for tilting,
@@ -211,7 +211,7 @@ def _pair_from_verified(
     own_mods = [universe.module(name) for name in own]
     other = _perp_in_universe(universe, own_mods, range(1, 2), left=tilting)
     member, route = (in_T_wedge, "wedge") if tilting else (in_T_covee, "coresolution")
-    witnessed = [name for name, x in universe.members if member(x, t, n, seed=seed) is not None]
+    witnessed = [name for name, x in universe.members if member(x, t, n) is not None]
     if set(witnessed) != set(other):
         raise UniverseInconsistent(
             f"perp route {sorted(other)} disagrees with {route} route {sorted(witnessed)}"
@@ -229,20 +229,16 @@ def _pair_from_verified(
     )
 
 
-def cotorsion_pair_from_tilting(
-    t: QModule, n: int, universe: Universe, seed: int = DEFAULT_SEED
-) -> CotorsionPairData:
+def cotorsion_pair_from_tilting(t: QModule, n: int, universe: Universe) -> CotorsionPairData:
     """(T-wedge, T-perp) on the universe, cross-checked both ways."""
-    verify_tilting(t, n, seed=seed).require()
-    return _pair_from_verified(t, n, universe, seed, "tilting")
+    verify_tilting(t, n).require()
+    return _pair_from_verified(t, n, universe, "tilting")
 
 
-def cotorsion_pair_from_cotilting(
-    t: QModule, n: int, universe: Universe, seed: int = DEFAULT_SEED
-) -> CotorsionPairData:
+def cotorsion_pair_from_cotilting(t: QModule, n: int, universe: Universe) -> CotorsionPairData:
     """(perp-T, T-covee) on the universe, cross-checked both ways."""
-    verify_cotilting(t, n, seed=seed).require()
-    return _pair_from_verified(t, n, universe, seed, "cotilting")
+    verify_cotilting(t, n).require()
+    return _pair_from_verified(t, n, universe, "cotilting")
 
 
 @dataclass(frozen=True)
@@ -254,9 +250,7 @@ class TiltingPairDecision:
     reason: str = ""
 
 
-def is_tilting_cotorsion_pair(
-    pair: CotorsionPairData, cap: int = 8, seed: int = DEFAULT_SEED
-) -> TiltingPairDecision:
+def is_tilting_cotorsion_pair(pair: CotorsionPairData, cap: int = 8) -> TiltingPairDecision:
     """Recognition: a hereditary pair is tilting iff pd of U is finite."""
     if not pair.hereditary:
         raise PreconditionFailed("recognition requires a hereditary pair")
@@ -273,7 +267,7 @@ def is_tilting_cotorsion_pair(
     n = max(n, 1)
     t_names = tuple(name for name in pair.u_names if name in set(pair.v_names))
     t_mod = direct_sum(pair.universe.algebra, [pair.universe.module(nm) for nm in t_names])
-    check = verify_tilting(t_mod, n, seed=seed)
+    check = verify_tilting(t_mod, n)
     if not check.ok:
         raise UniverseInconsistent(
             f"finite pd over U but U&V failed the tilting axioms: {check.failures}"
@@ -281,11 +275,11 @@ def is_tilting_cotorsion_pair(
     return TiltingPairDecision(accepted=True, n=n, t_names=t_names, check=check)
 
 
-def _least_degree(verify, t: QModule, cap: int, seed: int) -> int | None:
+def _least_degree(verify, t: QModule, cap: int) -> int | None:
     """Smallest n <= cap for which ``verify(t, n)`` passes, else None."""
-    return next((n for n in range(1, cap + 1) if verify(t, n, seed=seed).ok), None)
+    return next((n for n in range(1, cap + 1) if verify(t, n).ok), None)
 
 
-def find_tilting_degree(t: QModule, cap: int = 8, seed: int = DEFAULT_SEED) -> int | None:
+def find_tilting_degree(t: QModule, cap: int = 8) -> int | None:
     """Smallest n <= cap for which t verifies as n-tilting, else None."""
-    return _least_degree(verify_tilting, t, cap, seed)
+    return _least_degree(verify_tilting, t, cap)

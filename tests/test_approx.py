@@ -218,6 +218,13 @@ def test_special_preenvelope_trivial_case(a2):
     assert env.certificates["quotient_in_wedge"]
 
 
+def test_special_preenvelope_enforces_the_quotient_in_wedge_certificate(a2, monkeypatch):
+    t = direct_sum(a2, [projective(a2, "1"), simple(a2, "2")])
+    monkeypatch.setattr(approx_module, "in_T_wedge", lambda *args, **kwargs: None)
+    with pytest.raises(RuntimeError, match="quotient_in_wedge"):
+        special_preenvelope_tilting(simple(a2, "1"), t, 1)
+
+
 def test_special_preenvelope_summands_from_syzygies(bound_a3):
     t = direct_sum(bound_a3, [projective(bound_a3, "3"), projective(bound_a3, "4"), simple(bound_a3, "3")])
     s4 = simple(bound_a3, "4")

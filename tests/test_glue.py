@@ -254,16 +254,18 @@ def test_gluing_requires_exactness():
         glued_classes(rec_bad, None, None, None)
 
 
-def test_seed_and_prime_robustness(tilting_inputs, cotilting_inputs):
+def test_seed_and_prime_robustness(monkeypatch, tilting_inputs, cotilting_inputs):
     """Criterion-10 style check at the library level, small slice."""
+    from quiverglue import modcat
     from quiverglue.bundled import load_workspace
     from quiverglue.glue import glue_tilting as gt
 
     outcomes = set()
     for seed in (0xC0FFEE, 1, 2):
+        monkeypatch.setattr(modcat, "_SPLIT_SEED", seed)
         ws = load_workspace()
         kind, t1, n1, t3, n3, expected = ws.example_inputs("5-2")
         result = gt(ws.recollement, t1, n1, t3, n3, ws.universe_a, ws.universe_c,
-                    ws.universe_b, seed=seed, verify_approximations=False)
+                    ws.universe_b, verify_approximations=False)
         outcomes.add((result.basic_names, result.n2))
     assert len(outcomes) == 1

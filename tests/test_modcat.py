@@ -26,7 +26,6 @@ from quiverglue.errors import (
 )
 from quiverglue.glue import glue_tilting
 from quiverglue.modcat import (
-    DEFAULT_SEED,
     Universe,
     _block_products,
     _EndData,
@@ -327,16 +326,23 @@ def test_decompose_mixed_sum(bound_a3):
 
 
 @pytest.mark.parametrize("seed", [0xC0FFEE, 1, 2])
-def test_decompose_seed_independent(workspace, seed):
-    universe = workspace.universe_b
-    total = workspace.recollement.total
-    m = direct_sum(
-        total,
-        [universe.module("(P(1)|P(3))"), universe.module("(S(2)|0)"), universe.module("(S(2)|0)")],
-    )
-    for route in (m, unshared(m)):
-        names = universe.decompose_names(route, seed=seed)
-        assert names == {"(P(1)|P(3))": 1, "(S(2)|0)": 2}
+def test_decompose_seed_independent(kronecker_regular, monkeypatch, seed):
+    # End/rad is not commutative for either module, so the first split searches the
+    # sequence that _SPLIT_SEED starts; Krull-Schmidt fixes the summands whatever it draws
+    line = a7_interval_sum([(1, 4), (1, 4), (2, 5)], seed=8)
+    low, high = (a7_interval_sum([part], seed=9, algebra=line.algebra) for part in [(1, 4), (2, 5)])
+    u = kronecker_regular
+    cases = [(line, [high, low, low]), (unshared(direct_sum(u.algebra, [u, u])), [u, u])]
+    drawn = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(modcat, "_SPLIT_SEED", seed)
+    monkeypatch.setattr(np.random, "default_rng", lambda s: drawn.append(s) or default_rng(s))
+    for m, expected in cases:
+        drawn.clear()
+        parts = split_summands(m)
+        assert drawn and set(drawn) == {seed}
+        assert [piece.dim_vector() for piece, _, _ in parts] == [e.dim_vector() for e in expected]
+        assert_summands(parts, expected)
 
 
 def test_split_summands_give_inclusion_projection(workspace):
@@ -618,7 +624,7 @@ def test_kronecker_regular_is_certified_indecomposable(kronecker_regular):
     # End(U) = F_{p^2}: no radical, but End/rad is not F_p either
     u = kronecker_regular
     assert len(hom_basis(u, u)) == 2
-    assert modcat._split_module_once(u, DEFAULT_SEED) is None
+    assert modcat._split_module_once(u) is None
 
 
 @kronecker_primes
@@ -802,9 +808,9 @@ def assert_splits_through_summands(parts, monkeypatch, universe=None):
     m = direct_sum(algebra, parts)
     ended = []
     split_once = modcat._split_module_once
-    monkeypatch.setattr(modcat, "_split_module_once", lambda cur, seed: ended.append(cur) or split_once(cur, seed))
+    monkeypatch.setattr(modcat, "_split_module_once", lambda cur: ended.append(cur) or split_once(cur))
     # past the split memo, which may already hold m
-    pieces = modcat._split_summands_compute(m, DEFAULT_SEED)
+    pieces = modcat._split_summands_compute(m)
     monkeypatch.undo()
     assert all(cur is not m for cur in ended)
     assert [id(piece) for piece, _, _ in split_summands(m)] == [id(piece) for piece, _, _ in pieces]

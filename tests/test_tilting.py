@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from quiverglue import homology as hgy
+from quiverglue import approx, tilting
 from quiverglue.approx import in_T_covee, in_T_wedge
-from quiverglue import tilting
 from quiverglue.errors import NotTilting, PreconditionFailed, UniverseInconsistent
 from quiverglue.modcat import (
     decompose,
@@ -231,6 +231,23 @@ def test_pair_routes_disagree_when_a_member_is_dropped(
     with pytest.raises(UniverseInconsistent) as err:
         build(t, 2, univ_c)
     assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("t, n", [("t1_cotilt", 1), ("t3_cotilt", 2)])
+def test_cotilting_check_tests_each_injective_once(monkeypatch, request, t, n):
+    # (C3) already tests D I(v) = P_op(v) against DT; the dual route adds only Ext^i(DT, DT)
+    t = request.getfixturevalue(t)
+    calls = []
+    original = approx.in_T_wedge
+
+    def counting(x, *args, **kwargs):
+        calls.append(x)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(approx, "in_T_wedge", counting)
+    monkeypatch.setattr(tilting, "in_T_wedge", counting)
+    assert verify_cotilting(t, n).ok
+    assert len(calls) == len(t.algebra.quiver.vertices)
 
 
 @pytest.mark.parametrize(
