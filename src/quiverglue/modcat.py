@@ -13,8 +13,9 @@ solving go through ``QMorphism``.  Two kinds are certified by
 construction (``QMorphism._certified``): hom bases, whose square
 equations are assembled by index scatter and certified as a whole by one
 product ``system @ K == 0`` (read-only blocks, as the hom memo shares
-them), and derived arithmetic (compose, add, scale, inverse, identity,
-dual, combinations of an End basis), which is closed on valid morphisms.
+them), and derived arithmetic (zero maps, compose, add, scale, inverse,
+identity, dual, combinations of an End basis), which is closed on valid
+morphisms.
 
 The modules that ``kernel``, ``image`` and ``cokernel`` build are shared:
 ``submodule_from_bases`` and ``quotient_by_images`` return the algebra's
@@ -37,13 +38,14 @@ algebra: the radical is the kernel of the trace form (valid because the
 field characteristic exceeds the total dimension), and m is
 indecomposable exactly when S = End(m)/rad is a field, that is when S is
 commutative and Frobenius z -> z^p fixes only its scalars.  Otherwise m
-splits as e(m) + (1 - e)(m) for an idempotent e of a commutative
-subalgebra F_p[a]: the Frobenius-fixed space of F_p[a] is spanned by its
-primitive idempotents, and Cantor-Zassenhaus separates them with powers
-(b + s)^((p-1)/2), so no step evaluates anything at all p residues.  The
-element a lifts a non-scalar Frobenius-fixed element of S when S is
-commutative; only a non-commutative S falls back to a search for a over
-one fixed pseudo-random sequence.  Decomposition is deterministic, and by
+splits as e_1(m) + ... + e_k(m) along all primitive idempotents e_i of a
+commutative subalgebra F_p[a] at once: the Frobenius-fixed space of
+F_p[a] is spanned by them, and Cantor-Zassenhaus separates them with
+powers (b + s)^((p-1)/2), so no step evaluates anything at all p
+residues.  Each piece is split again until it is certified.  The element
+a lifts a non-scalar Frobenius-fixed element of S when S is commutative;
+only a non-commutative S falls back to a search for a over one fixed
+pseudo-random sequence.  Decomposition is deterministic, and by
 Krull-Schmidt its multiset of summands could not depend on the sequence.
 
 A splitting step first solves for the End basis and stops when it has
@@ -54,8 +56,9 @@ rows give the coordinates, and each vertex's products, formed in one
 contraction, are certified against them by mapping the coordinates back.
 The trace form, commutators, powers and idempotents are then computed on
 coordinates.  A morphism is built only where one leaves the algebra: the
-idempotents a split runs along, whose images and projections are solved
-and validated.  The End basis is not memoized: it serves one step.
+idempotents a split runs along, certified orthogonal and summing to one,
+whose images and projections are solved and validated.  The End basis
+is not memoized: it serves one step.
 """
 
 from __future__ import annotations
@@ -170,8 +173,9 @@ class QMorphism:
         """A morphism whose blocks are valid by construction: no square check.
 
         ``_hom_basis_compute`` certifies a whole kernel with one product; a
-        composite, sum, multiple, inverse or dual of valid morphisms, or a
-        combination of a certified basis, is valid, so its squares cannot fail.
+        zero map, a composite, sum, multiple, inverse or dual of valid
+        morphisms, or a combination of a certified basis, is valid, so its
+        squares cannot fail.
         """
         f = cls.__new__(cls)
         f.source, f.target, f.blocks = source, target, blocks
@@ -254,7 +258,11 @@ def identity_morphism(m: QModule) -> QMorphism:
 
 
 def zero_morphism(source: QModule, target: QModule) -> QMorphism:
-    return QMorphism(source, target, {})
+    if source.algebra is not target.algebra:
+        raise AlgebraMismatch("morphism endpoints live over different algebras")
+    zeros = source.algebra.field.zeros
+    blocks = {v: zeros(target.dims[v], source.dims[v]) for v in source.dims}
+    return QMorphism._certified(source, target, blocks)
 
 
 # -- hom spaces -----------------------------------------------------------
@@ -734,10 +742,12 @@ def split_summands(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]]:
     """All indecomposable summands of m with inclusions and projections.
 
     Indecomposability of each returned piece is certified through the
-    endomorphism algebra (End/rad is a field), never assumed; a ``direct_sum``
-    of several modules reuses their certified pieces through its canonical
-    maps (by Krull-Schmidt, the multiset End gives).  Results are cached per
-    module object.
+    endomorphism algebra (End/rad is a field), never assumed.  A module that
+    is not indecomposable is cut along every primitive idempotent of one
+    commutative subalgebra of End at once, and each piece is split again
+    until all are certified.  A ``direct_sum`` of several modules reuses
+    their certified pieces through its canonical maps (by Krull-Schmidt,
+    the multiset End gives).  Results are cached per module object.
     """
     if m.total_dim == 0:
         return []
@@ -808,12 +818,16 @@ def _split_module_once(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]]
 
 
 def _split_along(end: _EndData, a: np.ndarray) -> list[tuple[QModule, QMorphism, QMorphism]] | None:
-    """m = e(m) + (1 - e)(m) for an idempotent e of C = F_p[a], or None if C is local.
+    """m = e_1(m) + ... + e_k(m) along the primitive idempotents of C = F_p[a]; None if C is local.
 
     Frobenius is F_p-linear on the commutative algebra C, and its fixed
-    space is spanned by the primitive idempotents e_i of C, exactly in
-    End(m).  A non-scalar fixed b = sum l_i e_i is cut by Cantor-Zassenhaus:
-    w = (b + s)^((p-1)/2) = sum chi(l_i + s) e_i and e = (w^2 + w)/2.
+    space is spanned by the k primitive idempotents e_i of C, exactly in
+    End(m).  Cantor-Zassenhaus refines {1} into them: for a fixed
+    b = sum l_i e_i and a shift s, w = (b + s)^((p-1)/2) = sum chi(l_i + s) e_i,
+    and e = (w^2 + w)/2 sums the e_i with l_i + s a nonzero square; every
+    block f is cut into f e and f - f e.  Each shift powers the non-scalar
+    fixed columns at once, and for p >= 3 some shift in range(p) separates
+    each pair of idempotents, so the refinement stops at k blocks.
     """
     field, one = end.field, end.one.reshape(-1, 1)
     a = a.reshape(-1, 1)
@@ -824,25 +838,39 @@ def _split_along(end: _EndData, a: np.ndarray) -> list[tuple[QModule, QMorphism,
     fixed = field.matmul(krylov, field.kernel_basis(field.sub(end.power(krylov, field.p), krylov)))
     if fixed.shape[1] == 1:  # only the scalars: C is local
         return None
-    b = next(b for b in fixed.T if field.rank(np.stack([one[:, 0], b], axis=1)) == 2).reshape(-1, 1)
-    half = field.inv_scalar(2)
+    # fixed[:, 0] is the identity (krylov starts at it, and 1^p - 1 = 0), which no shift splits
+    half, blocks = field.inv_scalar(2), one
     for s in range(field.p):
-        w = end.power(field.add(b, s * one), (field.p - 1) // 2)
-        e = field.scale(half, field.add(end.mul(w, w), w))
-        if np.any(e) and np.any(field.sub(one, e)):
+        w = end.power(field.add(fixed[:, 1:], s * one), (field.p - 1) // 2)
+        for e in field.scale(half, field.add(end.mul(w, w), w)).T:
+            cut = end.mul(blocks, np.repeat(e.reshape(-1, 1), blocks.shape[1], axis=1))
+            parts = np.hstack([cut, field.sub(blocks, cut)])
+            blocks = parts[:, np.any(parts, axis=0)]
+        if blocks.shape[1] == fixed.shape[1]:
             break
     else:
         raise RuntimeError("no shift separates the idempotents")
-    if not np.array_equal(end.mul(e, e), e):
-        raise RuntimeError("splitting element is not idempotent")
+    _certify_idempotents(end, blocks)
     pieces = []
-    for idempotent in (e, field.sub(one, e)):
+    for idempotent in blocks.T:
         f = end.from_coords(idempotent)
         piece, incl = image(f)
         # f is the identity on its image, so f = incl o proj
         proj = {v: field.solve_matrix(incl.blocks[v], f.blocks[v]) for v in f.blocks}
         pieces.append((piece, incl, QMorphism(end.module, piece, proj)))
     return pieces
+
+
+def _certify_idempotents(end: _EndData, blocks: np.ndarray) -> None:
+    """Raise unless the columns of ``blocks`` are orthogonal idempotents that sum to one."""
+    i, j = np.triu_indices(blocks.shape[1])
+    products = end.mul(blocks[:, i], blocks[:, j])
+    if not np.array_equal(products[:, i == j], blocks):
+        raise RuntimeError("a split block is not idempotent")
+    if np.any(products[:, i != j]):
+        raise RuntimeError("split blocks are not orthogonal")
+    if not np.array_equal(np.mod(blocks.sum(axis=1), end.field.p), end.one):
+        raise RuntimeError("split blocks do not sum to one")
 
 
 def decompose(m: QModule) -> list[tuple[QModule, int]]:

@@ -401,6 +401,8 @@ def test_universe_decompose_names_rejects_stranger(a2):
 def test_algebra_mismatch(a2, bound_a3):
     with pytest.raises(AlgebraMismatch):
         hom_basis(simple(a2, "1"), simple(bound_a3, "3"))
+    with pytest.raises(AlgebraMismatch):
+        modcat.zero_morphism(simple(a2, "1"), simple(bound_a3, "3"))
 
 
 def test_top_and_socle(a2):
@@ -497,14 +499,20 @@ def test_hom_basis_blocks_are_read_only(workspace):
 # -- the End(M) kernel -------------------------------------------------------
 
 
+def a7_algebra(p):
+    """A fresh path algebra A7 (1 -> ... -> 7) over F_p."""
+    vertices = [str(v) for v in range(1, 8)]
+    quiver = Quiver(vertices, [(f"a{v}", v, w) for v, w in zip(vertices, vertices[1:])])
+    return build_algebra(quiver, [], field=PrimeField(p), name="A7")
+
+
 def a7_interval_sum(parts, seed, algebra=None):
     """The sum of the given intervals [i, j] (0-based positions) over a
     path algebra A7 (1 -> ... -> 7), fresh unless one is given,
     conjugated per vertex by a random invertible matrix."""
     vertices = [str(v) for v in range(1, 8)]
     if algebra is None:
-        quiver = Quiver(vertices, [(f"a{v}", v, w) for v, w in zip(vertices, vertices[1:])])
-        algebra = build_algebra(quiver, [], field=PrimeField(101), name="A7")
+        algebra = a7_algebra(101)
     field = algebra.field
     rng = np.random.default_rng(seed)
     dims = {v: sum(i <= k <= j for i, j in parts) for k, v in enumerate(vertices)}
@@ -697,6 +705,81 @@ def test_decompose_at_a_large_prime_allocates_little(kronecker_regular):
     assert peak < 2 * 2**20
 
 
+# -- one split step cuts along every primitive idempotent ----------------------
+
+
+def test_one_split_step_cuts_along_every_primitive_idempotent():
+    # End/rad = M_2(F_p) x F_p^3: F_p[a] for a random a has at least four primitive idempotents
+    m = a7_interval_sum([(0, 2), (0, 2), (1, 4), (3, 6), (2, 2)], seed=8)
+    pieces = modcat._split_module_once(m)
+    assert len(pieces) > 2
+    assert sum(piece.total_dim for piece, _, _ in pieces) == m.total_dim
+    total = modcat.zero_morphism(m, m)
+    for i, (piece, incl, proj) in enumerate(pieces):
+        assert (incl.source, incl.target, proj.source, proj.target) == (piece, m, m, piece)
+        total = total.add(incl.compose(proj))
+        for j, (other, other_incl, _) in enumerate(pieces):
+            expected = identity_morphism(piece) if i == j else modcat.zero_morphism(other, piece)
+            assert np.array_equal(proj.compose(other_incl).to_vector(), expected.to_vector())
+    assert np.array_equal(total.to_vector(), identity_morphism(m).to_vector())
+
+
+def test_a_corrupted_split_block_raises_the_named_certificate(monkeypatch):
+    m = a7_interval_sum([(0, 2), (0, 2), (1, 4), (3, 6), (2, 2)], seed=9)
+    seen, certify = [], modcat._certify_idempotents
+
+    def spy(end, blocks):
+        seen.append((end, blocks))
+        certify(end, blocks)
+
+    # the blocks of the first split step, as certified
+    monkeypatch.setattr(modcat, "_certify_idempotents", spy)
+    split_summands(m)
+    end, blocks = seen[0]
+    assert blocks.shape[1] > 2
+    field = end.field
+    doubled = blocks.copy()
+    doubled[:, 0] = field.scale(2, doubled[:, 0])
+    merged = blocks.copy()
+    merged[:, 1] = field.add(blocks[:, 0], blocks[:, 1])
+    corrupted = ((doubled, "not idempotent"), (merged, "not orthogonal"), (blocks[:, 1:], "sum to one"))
+    for corrupt, named in corrupted:
+        with pytest.raises(RuntimeError, match=named):
+            modcat._certify_idempotents(end, corrupt)
+    # through a split: the certificate sees a corrupted block and the split raises
+    monkeypatch.setattr(modcat, "_certify_idempotents", lambda end, blocks: certify(end, field.scale(2, blocks)))
+    with pytest.raises(RuntimeError, match="not idempotent"):
+        split_summands(unshared(m))
+
+
+def test_idempotents_that_sum_to_one_must_still_be_orthogonal():
+    # over F_3 the identity four times is idempotent and sums to 4 = 1, but 1 o 1 != 0
+    quiver = Quiver(["1", "2"], [("d", "1", "2")])
+    end = _EndData(simple(build_algebra(quiver, [], field=PrimeField(3), name="a2"), "1"))
+    modcat._certify_idempotents(end, end.one.reshape(-1, 1))
+    with pytest.raises(RuntimeError, match="not orthogonal"):
+        modcat._certify_idempotents(end, np.repeat(end.one.reshape(-1, 1), 4, axis=1))
+
+
+@st.composite
+def interval_multisets(draw):
+    """A7 intervals with multiplicities 1-3, at least one repeated; total dimension at most 84."""
+    chosen = draw(st.lists(st.sampled_from(A7_INTERVALS), min_size=1, max_size=4, unique=True))
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(chosen), max_size=len(chosen)))
+    counts[0] = max(counts[0], 2)
+    return [iv for iv, count in zip(chosen, counts) for _ in range(count)]
+
+
+@settings(max_examples=24, derandomize=True, deadline=None, database=None)
+@given(interval_multisets(), st.sampled_from([101, 32003]), st.integers(0, 2**16))
+def test_decomposition_recovers_the_generated_intervals(parts, p, seed):
+    m = a7_interval_sum(parts, seed, a7_algebra(p))
+    groups = decompose(m)
+    found = sorted(rep.dim_vector() for rep, mult in groups for _ in range(mult))
+    assert found == sorted(tuple(int(i <= k <= j) for k in range(7)) for i, j in parts)
+    assert sum(rep.total_dim * mult for rep, mult in groups) == m.total_dim
+
+
 # -- derived morphisms are certified by construction ---------------------------
 
 A7_INTERVALS = [(i, j) for i in range(7) for j in range(i, 7)]
@@ -794,8 +877,13 @@ def test_derived_morphisms_skip_the_square_check(end_modules, monkeypatch):
 
     monkeypatch.setattr(QMorphism, "_check_squares", refuse)
     inverse = identity_morphism(m).scale(3).inverse()
-    for d in (f.compose(g), f.add(g), f.negate(), inverse, dualize_morphism(f), end.from_coords(end.one)):
+    derived = (f.compose(g), f.add(g), f.negate(), inverse, dualize_morphism(f), end.from_coords(end.one))
+    for d in (*derived, modcat.zero_morphism(m, m)):
         assert d.source.dim_vector() == m.dim_vector()
+    zero = modcat.zero_morphism(m, simple(m.algebra, "3"))
+    monkeypatch.undo()
+    assert_revalidates(zero)
+    assert zero.is_zero() and zero.blocks["3"].shape == (1, m.dims["3"])
 
 
 # -- direct sums split through their summands ----------------------------------
