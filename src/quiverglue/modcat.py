@@ -8,14 +8,19 @@ making every arrow square commute.
 Modules and morphisms are immutable.  ``QModule`` and ``QMorphism``
 validate eagerly (relations, arrow squares), so a construction bug fails
 loudly where an invalid object would first exist; entries must have an
-integer dtype, and nothing is truncated or cast.  Morphisms found by
-solving go through ``QMorphism``.  Two kinds are certified by
-construction (``QMorphism._certified``): hom bases, whose square
-equations are assembled by index scatter and certified as a whole by one
-product ``system @ K == 0`` (read-only blocks, as the hom memo shares
-them), and derived arithmetic (zero maps, compose, add, scale, inverse,
-identity, dual, combinations of an End basis), which is closed on valid
-morphisms.
+integer dtype, and nothing is truncated or cast.  Morphisms a caller
+builds, factorizations, induced maps and approximation maps go through
+``QMorphism``.  Three kinds are certified by construction (``QMorphism._certified``): hom
+bases, whose square equations are assembled by index scatter and
+certified as a whole by one product ``system @ K == 0`` (read-only
+blocks, as the hom memo shares them); derived arithmetic (zero maps,
+compose, add, scale, inverse, identity, dual, combinations of an End
+basis), which is closed on valid morphisms; and canonical maps whose
+squares are the equations that built them (sub-module inclusions, whose
+arrow maps are solved from those squares, quotient projections, whose
+squares are the well-definedness check, split projections, solved
+against an injective inclusion, and the coordinate copies into and out
+of a direct sum).
 
 The modules that ``kernel``, ``image`` and ``cokernel`` build are shared:
 ``submodule_from_bases`` and ``quotient_by_images`` return the algebra's
@@ -27,7 +32,7 @@ every memoized answer (Hom basis, resolution, Ext, split) depends only
 on the presentation, so equal presentations get identical answers.  The
 first syzygies [j+1, n] of all intervals [i, j] over a line, for
 example, are one object with one Hom memo row.  Each call still builds
-and validates its own inclusion or projection.  ``direct_sum`` is cached
+its own inclusion or projection.  ``direct_sum`` is cached
 per tuple of summands, so covers with the same generators share one
 term, and a sum splits through its summands' own certified splits and
 its canonical maps, without End(sum).  Modules built directly with
@@ -57,7 +62,7 @@ contraction, are certified against them by mapping the coordinates back.
 The trace form, commutators, powers and idempotents are then computed on
 coordinates.  A morphism is built only where one leaves the algebra: the
 idempotents a split runs along, certified orthogonal and summing to one,
-whose images and projections are solved and validated.  The End basis
+whose images and projections are solved.  The End basis
 is not memoized: it serves one step.
 """
 
@@ -175,7 +180,8 @@ class QMorphism:
         ``_hom_basis_compute`` certifies a whole kernel with one product; a
         zero map, a composite, sum, multiple, inverse or dual of valid
         morphisms, or a combination of a certified basis, is valid, so its
-        squares cannot fail.
+        squares cannot fail; so is a canonical map whose squares are the
+        equations it was solved or checked from (each call site says why).
         """
         f = cls.__new__(cls)
         f.source, f.target, f.blocks = source, target, blocks
@@ -362,7 +368,8 @@ def submodule_from_bases(m: QModule, bases: dict[str, np.ndarray]) -> tuple[QMod
     The spans must be arrow-stable; if not, coordinate solving fails and
     this raises, which is the desired loud failure.  The submodule is the
     algebra's shared module for its presentation; the inclusion is built
-    and validated per call.
+    per call.  Bases are canonical residues, as ``kernel_basis`` and
+    ``image_basis`` return them: they become the inclusion's blocks.
     """
     field = m.algebra.field
     dims = {v: bases[v].shape[1] for v in bases}
@@ -375,15 +382,15 @@ def submodule_from_bases(m: QModule, bases: dict[str, np.ndarray]) -> tuple[QMod
             raise ValueError(f"spans are not stable under arrow {a.name}")
         maps[a.name] = coords
     sub = _shared_module(m.algebra, dims, maps)
-    incl = QMorphism(sub, m, dict(bases))
-    return sub, incl
+    # the squares map_a @ bases[u] == bases[w] @ coords are the equations just solved
+    return sub, QMorphism._certified(sub, m, dict(bases))
 
 
 def quotient_by_images(m: QModule, image_bases: dict[str, np.ndarray]) -> tuple[QModule, QMorphism]:
     """The quotient of m by the arrow-stable span of given image columns.
 
     The quotient is the algebra's shared module for its presentation; the
-    projection is built and validated per call.
+    projection is built per call.
     """
     field = m.algebra.field
     proj_blocks = {}
@@ -409,8 +416,8 @@ def quotient_by_images(m: QModule, image_bases: dict[str, np.ndarray]) -> tuple[
             raise ValueError(f"image spans are not stable under arrow {a.name}")
         maps[a.name] = induced
     quot = _shared_module(m.algebra, dims, maps)
-    proj = QMorphism(m, quot, proj_blocks)
-    return quot, proj
+    # the well-definedness check above is exactly the projection's square check
+    return quot, QMorphism._certified(m, quot, proj_blocks)
 
 
 def kernel(f: QMorphism) -> tuple[QModule, QMorphism]:
@@ -558,8 +565,9 @@ def direct_sum_with_maps(
             inj_blocks[v] = inj
             proj_blocks[v] = inj.T.copy()
             offsets[v] = o + d
-        injections.append(QMorphism(m, total, inj_blocks))
-        projections.append(QMorphism(total, m, proj_blocks))
+        # coordinate copies into and out of the block-diagonal sum
+        injections.append(QMorphism._certified(m, total, inj_blocks))
+        projections.append(QMorphism._certified(total, m, proj_blocks))
     return total, injections, projections
 
 
@@ -855,9 +863,10 @@ def _split_along(end: _EndData, a: np.ndarray) -> list[tuple[QModule, QMorphism,
     for idempotent in blocks.T:
         f = end.from_coords(idempotent)
         piece, incl = image(f)
-        # f is the identity on its image, so f = incl o proj
+        # f is the identity on its image, so f = incl o proj; proj commutes with
+        # the arrows because f does and incl is injective
         proj = {v: field.solve_matrix(incl.blocks[v], f.blocks[v]) for v in f.blocks}
-        pieces.append((piece, incl, QMorphism(end.module, piece, proj)))
+        pieces.append((piece, incl, QMorphism._certified(end.module, piece, proj)))
     return pieces
 
 

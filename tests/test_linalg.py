@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quiverglue.errors import NonIntegerEntries, PreconditionFailed, ShapeMismatch
 from quiverglue.linalg import PrimeField
@@ -158,3 +160,74 @@ def test_integer_dtypes_reduce_exactly(f101):
     assert f101.mat(np.array([[-1]], dtype=np.int8))[0, 0] == 100
     assert PrimeField(32003).mat(np.array([[-1]], dtype=np.int8))[0, 0] == 32002
     assert f101.mat([]).shape == (0, 1)
+
+
+# -- elimination against Gauss-Jordan over Python ints -----------------------------
+
+ELIMINATION_PRIMES = [101, 32003, 3037000493]
+
+
+def gauss_jordan(rows: list[list[int]], cols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """The reduced row-echelon form over F_p, row operations one entry at a time."""
+    r = [[x % p for x in row] for row in rows]
+    pivots, top = [], 0
+    for col in range(cols):
+        found = next((i for i in range(top, len(r)) if r[i][col]), None)
+        if found is None:
+            continue
+        r[top], r[found] = r[found], r[top]
+        inv = pow(r[top][col], p - 2, p)
+        r[top] = [x * inv % p for x in r[top]]
+        for i in range(len(r)):
+            if i != top and r[i][col]:
+                factor = r[i][col]
+                r[i] = [(x - factor * y) % p for x, y in zip(r[i], r[top])]
+        pivots.append(col)
+        top += 1
+    return r, pivots
+
+
+@st.composite
+def sparse_to_dense_matrices(draw):
+    """A prime and a matrix over it: 0-30 x 0-40 with one nonzero, a random density,
+    every entry nonzero, or a low rank, so pivot columns fall on both sides of four
+    nonzero entries, the point where ``rref`` switches to a rank-one update."""
+    p = draw(st.sampled_from(ELIMINATION_PRIMES))
+    rows = draw(st.one_of(st.integers(0, 3), st.integers(4, 30)))
+    cols = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["one", "density", "full", "low rank"]))
+    m = rng.integers(1, p, size=(rows, cols), dtype=np.int64)
+    if kind == "one":
+        keep = np.zeros(m.size, dtype=bool)
+        keep[: min(1, m.size)] = True
+        m = np.where(rng.permutation(keep).reshape(rows, cols), m, 0)
+    elif kind == "density":
+        m = np.where(rng.random((rows, cols)) < draw(st.floats(0.05, 1.0)), m, 0)
+    elif kind == "low rank" and rows and cols:
+        k = draw(st.integers(0, min(rows, cols)))
+        left, right = rng.integers(0, p, size=(rows, k)), rng.integers(0, p, size=(k, cols))
+        m = np.array((left.astype(object) @ right.astype(object)) % p, dtype=np.int64).reshape(rows, cols)
+    return p, m
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(sparse_to_dense_matrices())
+@example((3037000493, np.full((6, 7), 3037000492, dtype=np.int64) - np.eye(6, 7, dtype=np.int64)))
+@example((3037000493, np.full((3, 3), 3037000492, dtype=np.int64) - np.eye(3, dtype=np.int64)))
+@example((101, np.zeros((0, 5), dtype=np.int64)))
+@example((32003, np.zeros((5, 0), dtype=np.int64)))
+def test_elimination_equals_gauss_jordan_over_python_ints(case):
+    p, m = case
+    field = PrimeField(p)
+    rows, cols = m.shape
+    r, pivots, rank = field.rref(m)
+    expected, expected_pivots = gauss_jordan(m.tolist(), cols, p)
+    assert r.dtype == np.int64 and r.shape == m.shape
+    assert r.tolist() == expected and pivots == expected_pivots and rank == len(pivots)
+    kernel = field.kernel_basis(m)
+    free = [c for c in range(cols) if c not in pivots]
+    assert kernel.shape == (cols, cols - rank)
+    assert kernel[free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
+    assert not np.any((m.astype(object) @ kernel.astype(object)) % p)
+    assert ((0 <= kernel) & (kernel < p)).all()

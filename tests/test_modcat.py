@@ -886,6 +886,62 @@ def test_derived_morphisms_skip_the_square_check(end_modules, monkeypatch):
     assert zero.is_zero() and zero.blocks["3"].shape == (1, m.dims["3"])
 
 
+# -- canonical maps are certified by construction ------------------------------
+
+
+def canonical_maps(m, n, rng):
+    """Every map built through ``QMorphism._certified`` from solved or checked squares:
+    inclusions of kernels, images, socles and radicals, cokernel and top projections,
+    direct-sum injections and projections, and the inclusions and projections of
+    one split step of an unshared copy of m."""
+    f = random_combination(m, n, rng)
+    maps = [
+        kernel(f)[1], modcat.image(f)[1], socle_submodule(m)[1], modcat.radical_submodule(n)[1],
+        cokernel(f)[1], top_quotient(m)[1],
+    ]
+    _, injections, projections = modcat.direct_sum_with_maps(m.algebra, [m, n, m])
+    maps += injections + projections
+    for _, incl, proj in modcat._split_module_once(unshared(m)) or []:
+        maps += [incl, proj]
+    return maps
+
+
+def count_validations(monkeypatch):
+    """The argument tuples of every ``QMorphism.__init__`` call from now on."""
+    calls, init = [], QMorphism.__init__
+    monkeypatch.setattr(QMorphism, "__init__", lambda self, *args: calls.append(args) or init(self, *args))
+    return calls
+
+
+@closure_settings
+@given(module_pairs(), st.integers(0, 2**16))
+def test_canonical_maps_are_valid_morphisms(pair, seed):
+    m, n = pair
+    for f in canonical_maps(m, n, np.random.default_rng(seed)):
+        assert_revalidates(f)
+
+
+def test_canonical_maps_skip_the_square_check(monkeypatch):
+    m = a7_interval_sum([(0, 2), (0, 2), (1, 4), (3, 6), (2, 2)], seed=10)
+    n = a7_interval_sum([(1, 3), (2, 6)], seed=11, algebra=m.algebra)
+    calls = count_validations(monkeypatch)
+    maps = canonical_maps(m, n, np.random.default_rng(12))
+    assert calls == [] and len(maps) > 12
+    monkeypatch.undo()
+    for f in maps:
+        assert_revalidates(f)
+
+
+def test_decomposing_a_dense_sum_validates_no_morphism(monkeypatch):
+    m = a7_interval_sum([(0, 2), (0, 2), (1, 4), (3, 6), (2, 2)], seed=13, algebra=a7_algebra(32003))
+    calls = count_validations(monkeypatch)
+    groups = decompose(m)
+    assert calls == []
+    assert sorted((rep.dim_vector(), mult) for rep, mult in groups) == sorted(
+        [((1, 1, 1, 0, 0, 0, 0), 2), ((0, 1, 1, 1, 1, 0, 0), 1), ((0, 0, 0, 1, 1, 1, 1), 1), ((0, 0, 1, 0, 0, 0, 0), 1)]
+    )
+
+
 # -- direct sums split through their summands ----------------------------------
 
 
