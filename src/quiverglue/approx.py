@@ -16,13 +16,14 @@ property (one rank test per U_j) and right-minimality by the
 endomorphism criterion (every psi with f o psi = 0 is radical).  Left
 approximations are the duals over the opposite algebra.
 
-What does not depend on X is built once per class, that is per tuple of
-member objects, and memoized on the algebra (``_ApproxClass``): the hom
-dimensions between members, the trace form of each End(U_i) and its
-kernel, and, per target U_j and vertex v, the stacks of every
-Hom(U_i, U_j) side by side, so that the composites
-Hom(U_j, X) o Hom(U_i, U_j) of all i come from one product per (j, v).
-Only the members with Hom(U_i, X) != 0 enter a call; the slot rref and
+What does not depend on X is memoized on the algebra per class, that is
+per tuple of member objects (``_ApproxClass``), and built one target at
+a time: the first call that reads U_j solves Hom(U_i, U_j) for every i
+and keeps, per vertex v, their stacks side by side, so that the
+composites Hom(U_j, X) o Hom(U_i, U_j) of all i come from one product
+per (j, v); it also keeps the trace form of End(U_j), whose kernel (the
+radical) is taken on first use.  Only the members with Hom(U_i, X) != 0
+enter a call, so only their columns are ever built; the slot rref and
 both certificates run on every call.  Left approximations and the wedge
 test reuse the class of the duals, since ``dualize`` returns the same
 object each time.
@@ -35,6 +36,7 @@ i > m.  Every emitted sequence carries recomputed Ext certificates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -96,41 +98,59 @@ def in_add(m: QModule, reps: list[QModule]) -> bool:
 # -- minimal approximations -------------------------------------------------
 
 
+class _Target:
+    """One target U_j of a class: every Hom(U_i, U_j) and the trace form of End(U_j).
+
+    ``side[v]`` is row c of U_j at v against columns (i, g, s) with entry
+    (c, s) of the g-th map U_i -> U_j at v; member i starts at
+    ``offsets[v][i]`` and contributes ``sizes[i]`` maps.
+    """
+
+    def __init__(self, field, members: tuple[QModule, ...], j: int):
+        target = members[j]
+        bases = [hom_basis(u, target) for u in members]
+        stacks = [_stacks(u, target, basis) for u, basis in zip(members, bases)]
+        self.field = field
+        self.sizes = [len(basis) for basis in bases]
+        self.gram = _trace_pairing(field, stacks[j], stacks[j])
+        self.side, self.offsets = {}, {}
+        for v, d in target.dims.items():
+            parts = [
+                block.transpose(1, 0, 2).reshape(d, block.shape[0] * block.shape[2])
+                for block in (stack[v] for stack in stacks)
+            ]
+            self.offsets[v] = list(itertools.accumulate((part.shape[1] for part in parts), initial=0))
+            self.side[v] = np.concatenate(parts, axis=1)
+
+    @functools.cached_property
+    def radical(self) -> np.ndarray:
+        """A basis of rad End(U_j), the kernel of the trace form."""
+        return self.field.kernel_basis(self.gram)
+
+
 class _ApproxClass:
     """The class add(U_1, ..., U_r) as minimal right approximations read it.
 
     Built once per tuple of members (``_approx_class``), it holds what does
-    not depend on the approximated module X: the dimension of every
-    Hom(U_i, U_j), the trace form of each End(U_i) and its kernel (the
-    radical), and, per target U_j and vertex v, the stacks of
-    Hom(U_i, U_j) for every i side by side.  One product of Hom(U_j, X)
-    with that side-by-side stack gives the composites
-    Hom(U_j, X) o Hom(U_i, U_j) for every i at v.
+    not depend on the approximated module X, one target at a time: the
+    first read of U_j builds its ``_Target``, that is Hom(U_i, U_j) for
+    every i stacked side by side per vertex, and the trace form of
+    End(U_j).  One product of Hom(U_j, X) with that side-by-side stack
+    gives the composites Hom(U_j, X) o Hom(U_i, U_j) for every i at v.
+    A call reads only the targets with Hom(U_j, X) != 0, so a target that
+    no X maps from is never solved.
     """
 
     def __init__(self, field, members: tuple[QModule, ...]):
         self.field = field
         self.members = members
-        r = range(len(members))
-        homs = {(i, j): hom_basis(members[i], members[j]) for i in r for j in r}
-        self.sizes = {pair: len(basis) for pair, basis in homs.items()}
-        stacks = {(i, j): _stacks(members[i], members[j], basis) for (i, j), basis in homs.items()}
-        self.gram = [_trace_pairing(field, stacks[i, i], stacks[i, i]) for i in r]
-        self.radical = [field.kernel_basis(g) for g in self.gram]
-        # side[j][v]: row c of U_j at v, columns (i, g, s) with entry (c, s)
-        # of the g-th map U_i -> U_j at v; member i starts at offsets[j][v][i]
-        self.side, self.offsets = [], []
-        for j, target in enumerate(members):
-            side, offsets = {}, {}
-            for v, d in target.dims.items():
-                parts = [
-                    block.transpose(1, 0, 2).reshape(d, block.shape[0] * block.shape[2])
-                    for block in (stacks[i, j][v] for i in r)
-                ]
-                offsets[v] = list(itertools.accumulate((part.shape[1] for part in parts), initial=0))
-                side[v] = np.concatenate(parts, axis=1)
-            self.side.append(side)
-            self.offsets.append(offsets)
+        self._targets: dict[int, _Target] = {}
+
+    def target(self, j: int) -> _Target:
+        """The column of U_j, built on first read."""
+        if j not in self._targets:
+            self._targets[j] = _Target(self.field, self.members, j)
+        return self._targets[j]
 
     def composites(self, j: int, left: dict[str, np.ndarray], live: list[int]) -> dict[int, np.ndarray]:
         """Per i in ``live``, the composites Hom(U_j, X) o Hom(U_i, U_j).
@@ -140,25 +160,26 @@ class _ApproxClass:
         ``_block_products`` of each vertex would give it; a vertex where X
         or U_i is zero contributes no rows.
         """
+        column = self.target(j)
         n = next(iter(left.values())).shape[0]
         pieces = {i: [] for i in live}
         for v, phi in left.items():
             _, t, m = phi.shape
             if not t:
                 continue
-            side = self.side[j][v]
+            side = column.side[v]
             if m and side.shape[1]:
                 product = self.field.matmul(phi.reshape(n * t, m), side)
             else:
                 product = np.zeros((n * t, side.shape[1]), dtype=np.int64)
             for i in live:
-                k, s = self.sizes[i, j], self.members[i].dims[v]
+                k, s = column.sizes[i], self.members[i].dims[v]
                 if s:
-                    start = self.offsets[j][v][i]
+                    start = column.offsets[v][i]
                     block = product[:, start : start + k * s].reshape(n, t, k, s)
                     pieces[i].append(block.transpose(1, 3, 0, 2).reshape(t * s, n * k))
         return {
-            i: np.concatenate(pieces[i]) if pieces[i] else np.zeros((0, n * self.sizes[i, j]), dtype=np.int64)
+            i: np.concatenate(pieces[i]) if pieces[i] else np.zeros((0, n * column.sizes[i]), dtype=np.int64)
             for i in live
         }
 
@@ -183,6 +204,7 @@ def minimal_right_approximation(x: QModule, add_list: list[QModule]) -> QMorphis
     to_x = [_stacks(u, x, basis) for u, basis in zip(add_list, homs)]
     x_sizes = [len(basis) for basis in homs]
     live = [i for i in range(len(add_list)) if x_sizes[i]]
+    columns = {j: cls.target(j) for j in live}
     # composites[i, j], column (phi, g): phi o g for phi in Hom(U_j, X) and
     # g in Hom(U_i, U_j), flattened like QMorphism.to_vector
     composites = {}
@@ -195,16 +217,16 @@ def minimal_right_approximation(x: QModule, add_list: list[QModule]) -> QMorphis
     # pivot exactly then
     slots: list[tuple[int, int]] = []
     for i in live:
-        n = cls.sizes[i, i]
+        n = columns[i].sizes[i]
         own = composites[i, i]
-        own_rad = field.matmul(own.reshape(-1, n), cls.radical[i]).reshape(own.shape[0], -1)
+        own_rad = field.matmul(own.reshape(-1, n), columns[i].radical).reshape(own.shape[0], -1)
         span = np.hstack([composites[i, j] for j in live if j != i] + [own_rad, own])
         _, pivots, _ = field.rref(span)
         start = span.shape[1] - own.shape[1]
         slots += [(i, k) for k in sorted({(c - start) // n for c in pivots if c >= start})]
 
     for j in live:
-        widths = [cls.sizes[j, t] for t, _ in slots]
+        widths = [columns[t].sizes[j] for t, _ in slots]
         cols = [composites[j, t][:, k * w : (k + 1) * w] for (t, k), w in zip(slots, widths)]
         probe = np.hstack(cols) if cols else field.zeros(composites[j, j].shape[0], 0)
         null = field.kernel_basis(probe)
@@ -219,7 +241,7 @@ def minimal_right_approximation(x: QModule, add_list: list[QModule]) -> QMorphis
         # in 1..dim U0 < p; radical diagonal blocks would make it 0
         row = 0
         for (t, _), w in zip(slots, widths):
-            if t == j and np.any(field.matmul(cls.gram[j], null[row : row + w])):
+            if t == j and np.any(field.matmul(columns[j].gram, null[row : row + w])):
                 raise PreconditionFailed(
                     f"a non-radical endomorphism of the source kills the approximation at add_list[{j}]; "
                     "are the members pairwise non-isomorphic indecomposables?"

@@ -185,7 +185,6 @@ def cmd_reproduce(args) -> int:
         for name in absent:
             print(f"  missing {name}")
         return EXIT_MISMATCH
-    workspace.universe_b.validate()
     glue_fn = glue.glue_tilting if kind == "tilting" else glue.glue_cotilting
     result = glue_fn(
         workspace.recollement,

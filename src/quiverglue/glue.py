@@ -3,9 +3,12 @@
 The glued classes on the middle category are cut out by the restriction
 functors, the left class is recovered as the Ext-perpendicular of the
 right one, and every step is verified exhaustively over the finite
-universe: orthogonality in degrees one and two, both approximation
-sequences for every member, and the containment of the perpendicular
-class in the add-closure of the functor-defined candidate class.
+universe, which is first certified to hold pairwise non-isomorphic
+indecomposables: orthogonality in degrees one and two, a special
+precover of every member outside the left class and a special
+preenvelope of every member outside the right class (a class member is
+its own approximation), and the containment of the perpendicular class
+in the add-closure of the functor-defined candidate class.
 
 The glued tilting module is assembled constructively as the image of
 the a-side tilting module plus one pushout module per indecomposable
@@ -85,10 +88,20 @@ def glued_classes(
     universe_b: Universe,
     verify_approximations: bool = True,
 ) -> GluedPair:
-    """Compute and certify the glued pair from pairs on the outer categories."""
+    """Compute and certify the glued pair from pairs on the outer categories.
+
+    ``universe_b.validate()`` runs first, so a universe with two isomorphic
+    members raises ``UniverseInconsistent`` naming both.  With
+    ``verify_approximations``, completeness of the pair (U2, V2) is
+    certified member by member: a member outside U2 gets a special
+    U2-precover and a member outside V2 a special V2-preenvelope, each
+    built from a minimal approximation and re-checked.  A member of a
+    class is its own approximation, with zero as the other term.
+    """
     _require_exactness(rec)
     if pair_a.universe.algebra is not rec.a_algebra or pair_c.universe.algebra is not rec.c_algebra:
         raise PreconditionFailed("outer pairs must live over the recollement's outer algebras")
+    universe_b.validate()
 
     v1_mods = pair_a.v_modules()
     v3_mods = pair_c.v_modules()
@@ -125,13 +138,18 @@ def glued_classes(
     if hereditary_inputs and not checks["ext2_vanishes"]:
         raise UniverseInconsistent("hereditary inputs glued to a non-hereditary pair")
 
+    u2_set, v2_set = set(u2_names), set(v2_names)
     if verify_approximations:
         for name, x in universe_b.members:
-            special_precover_universe(x, u2_mods, v2_mods)
-            special_preenvelope_universe(x, u2_mods, v2_mods)
+            # a member of U2 is its own special precover, 0 -> 0 -> X -> X -> 0,
+            # and a member of V2 its own special preenvelope, 0 -> X -> X -> 0 -> 0:
+            # 0 lies in both classes, so these sequences are certified by construction
+            if name not in u2_set:
+                special_precover_universe(x, u2_mods, v2_mods)
+            if name not in v2_set:
+                special_preenvelope_universe(x, u2_mods, v2_mods)
         checks["approximations"] = True
 
-    v2_set = set(v2_names)
     t2_names = tuple(n for n in u2_names if n in v2_set)
     return GluedPair(
         recollement=rec,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from quiverglue.approx import (
 from quiverglue.bundled import load_workspace
 from quiverglue.errors import NotSurjective, NotTilting, PreconditionFailed
 from quiverglue.modcat import (
+    QModule,
     _block_products,
     _stacks,
     decompose,
@@ -128,6 +131,22 @@ def test_minimal_approximation_counts_copies_over_the_residue_field(kronecker_re
     assert f.is_isomorphism()
 
 
+def test_minimal_approximation_reads_each_members_own_radical(kronecker_regular):
+    # U = (k^2, k^2; I, J) with J a nilpotent Jordan block has End(U) = k[t]/(t^2), so
+    # rad End(U) != 0, while End(S(2)) = k: the two columns differ in size
+    algebra = kronecker_regular.algebra
+    u = QModule(algebra, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, 1], [0, 0]]})
+    s2 = simple(algebra, "2")
+    assert len(decompose(u)) == 1 and len(hom_basis(u, u)) == 2
+    cls = _approx_class(algebra, [s2, u])
+    assert cls.target(1).radical.shape == (2, 1) and cls.target(0).radical.shape == (1, 0)
+    for x in (direct_sum(algebra, [u, s2]), direct_sum(algebra, [u, u, s2, s2])):
+        f = minimal_right_approximation(x, [s2, u])
+        # Hom(U, X) has dimension 2 per copy of U, but the radical leaves one slot per copy
+        assert f.source.dim_vector() == x.dim_vector()
+        assert f.is_isomorphism()
+
+
 def test_minimal_approximation_rejects_a_repeated_member(a2, kronecker_regular):
     p1 = projective(a2, "1")
     with pytest.raises(PreconditionFailed, match="do not factor"):
@@ -193,6 +212,30 @@ def test_a_class_computes_each_trace_form_once(monkeypatch):
     for x in members:
         assert minimal_right_approximation(x, members).is_isomorphism()
     assert len(calls) == len(members)
+
+
+def test_a_class_solves_only_the_targets_a_call_reads(monkeypatch):
+    # a freshly loaded workspace keeps the hom and class memos cold
+    universe = load_workspace().universe_b
+    members = universe.modules()
+    calls = []
+    basis = approx_module.hom_basis
+
+    def counting(source, target):
+        calls.append((source, target))
+        return basis(source, target)
+
+    monkeypatch.setattr(approx_module, "hom_basis", counting)
+    x = universe.module("(S(1)|0)")
+    assert minimal_right_approximation(x, members).is_isomorphism()
+    live = [u for u in members if basis(u, x)]
+    assert x in live and len(live) < len(members)
+    # one Hom(U_i, X) per member for the call, and one column Hom(-, U_j) per live U_j for the class
+    targets = Counter(id(target) for _, target in calls)
+    expected = Counter({id(u): len(members) for u in live})
+    expected[id(x)] += len(members)
+    assert targets == expected
+    assert len(calls) == len(members) * (1 + len(live))
 
 
 def test_the_class_is_keyed_on_every_member(univ_b):

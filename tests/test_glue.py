@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from quiverglue import glue as glue_module
 from quiverglue import homology as hgy
-from quiverglue.errors import ExactnessMissing, PreconditionFailed
+from quiverglue.bundled import load_workspace
+from quiverglue.errors import ExactnessMissing, PreconditionFailed, UniverseInconsistent
 from quiverglue.glue import (
     dual_glue_cross_check,
     glue_cotilting,
@@ -13,7 +17,17 @@ from quiverglue.glue import (
     glued_classes,
     k_construction,
 )
-from quiverglue.modcat import decompose, direct_sum, is_isomorphic, projective, simple
+from quiverglue.modcat import (
+    QModule,
+    Universe,
+    decompose,
+    direct_sum,
+    injective,
+    is_isomorphic,
+    projective,
+    simple,
+)
+from quiverglue.recollement import build_recollement
 from quiverglue.tilting import cotorsion_pair_from_cotilting
 
 EXPECTED_5_2 = {"(S(2)|0)", "(S(2)|P(4))", "(P(1)|0)", "(P(1)|P(3))", "(S(1)|S(3))"}
@@ -269,3 +283,95 @@ def test_seed_and_prime_robustness(monkeypatch, tilting_inputs, cotilting_inputs
                     ws.universe_b, verify_approximations=False)
         outcomes.add((result.basic_names, result.n2))
     assert len(outcomes) == 1
+
+
+# -- gluing over A7 --------------------------------------------------------------
+
+
+def interval_universe(algebra) -> Universe:
+    """Every interval [i, j] of a line algebra v_1 -> ... -> v_n, in the standard basis."""
+    vertices = algebra.quiver.vertices
+    members = []
+    for i in range(len(vertices)):
+        for j in range(i, len(vertices)):
+            inside = set(vertices[i : j + 1])
+            maps = {a.name: [[1]] for a in algebra.quiver.arrows if {a.source, a.target} <= inside}
+            members.append((f"[{vertices[i]},{vertices[j]}]", QModule(algebra, {v: 1 for v in inside}, maps)))
+    return Universe(algebra, members)
+
+
+def rescaled(m: QModule, v: str, c: int) -> QModule:
+    """An isomorphic copy of m: the basis at v scaled by c."""
+    field = m.algebra.field
+    maps = {}
+    for a in m.algebra.quiver.arrows:
+        block = m.maps[a.name]
+        if a.target == v:
+            block = field.scale(c, block)
+        if a.source == v:
+            block = field.scale(field.inv_scalar(c), block)
+        maps[a.name] = block
+    return QModule(m.algebra, m.dims, maps)
+
+
+@pytest.fixture(scope="module")
+def a7_glue(a7_intervals):
+    """A7 = 1 -> ... -> 7 with a = {4..7}, and the complete interval universes."""
+    rec = build_recollement(a7_intervals[0].algebra, ["4", "5", "6", "7"])
+    universes = tuple(interval_universe(alg) for alg in (rec.a_algebra, rec.c_algebra, rec.total))
+    assert [len(u) for u in universes] == [10, 6, 28]
+    return rec, universes
+
+
+def generator(algebra, kind: str) -> QModule:
+    make = projective if kind == "proj" else injective
+    return direct_sum(algebra, [make(algebra, v) for v in algebra.quiver.vertices])
+
+
+T_KINDS = [("proj", "proj"), ("proj", "inj"), ("inj", "proj"), ("inj", "inj")]
+
+
+@pytest.mark.parametrize("kinds", T_KINDS, ids=["-".join(k) for k in T_KINDS])
+def test_a7_glue_sweeps_only_non_members(a7_glue, monkeypatch, kinds):
+    rec, (univ_a7a, univ_a7c, univ_a7) = a7_glue
+    calls = {"precover": [], "preenvelope": []}
+    for kind, name in (("precover", "special_precover_universe"), ("preenvelope", "special_preenvelope_universe")):
+        original = getattr(glue_module, name)
+
+        def counting(x, *args, original=original, kind=kind):
+            calls[kind].append(x)
+            return original(x, *args)
+
+        monkeypatch.setattr(glue_module, name, counting)
+    t1, t3 = generator(rec.a_algebra, kinds[0]), generator(rec.c_algebra, kinds[1])
+    result = glue_tilting(rec, t1, 1, t3, 1, univ_a7a, univ_a7c, univ_a7)
+    # a tilting module over A7 has one summand per simple; type A summands are intervals
+    assert len(result.decomposition) == 7 and set(result.decomposition) <= set(univ_a7.names())
+    assert result.n2 == 1
+    glued = result.glued
+    assert glued.checks["approximations"]
+    u2, v2 = set(glued.u2_names), set(glued.v2_names)
+    assert len(calls["precover"]) == len(univ_a7) - len(u2)
+    assert len(calls["preenvelope"]) == len(univ_a7) - len(v2)
+    assert {univ_a7.find_member(x) for x in calls["precover"]} == set(univ_a7.names()) - u2
+    assert {univ_a7.find_member(x) for x in calls["preenvelope"]} == set(univ_a7.names()) - v2
+
+
+@pytest.mark.parametrize("kinds", T_KINDS, ids=["-".join(k) for k in T_KINDS])
+def test_a7_glue_names_a_repeated_universe_member(a7_glue, kinds):
+    rec, (univ_a7a, univ_a7c, univ_a7) = a7_glue
+    copy = rescaled(univ_a7.module("[1,6]"), "3", 5)
+    universe = Universe(rec.total, univ_a7.members + [("copy of [1,6]", copy)])
+    t1, t3 = generator(rec.a_algebra, kinds[0]), generator(rec.c_algebra, kinds[1])
+    with pytest.raises(UniverseInconsistent, match=re.escape("members [1,6] and copy of [1,6] are isomorphic")):
+        glue_tilting(rec, t1, 1, t3, 1, univ_a7a, univ_a7c, universe)
+
+
+def test_example_5_2_names_a_repeated_universe_member():
+    ws = load_workspace()
+    kind, t1, n1, t3, n3, _ = ws.example_inputs("5-2")
+    member = ws.universe_b.module("(P(1)|P(3))")
+    vertex = next(a.target for a in ws.universe_b.algebra.quiver.arrows if member.maps[a.name].any())
+    universe = Universe(ws.universe_b.algebra, ws.universe_b.members + [("copy", rescaled(member, vertex, 3))])
+    with pytest.raises(UniverseInconsistent, match=re.escape("members (P(1)|P(3)) and copy are isomorphic")):
+        glue_tilting(ws.recollement, t1, n1, t3, n3, ws.universe_a, ws.universe_c, universe)

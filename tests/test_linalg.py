@@ -217,6 +217,7 @@ def sparse_to_dense_matrices(draw):
 @example((3037000493, np.full((3, 3), 3037000492, dtype=np.int64) - np.eye(3, dtype=np.int64)))
 @example((101, np.zeros((0, 5), dtype=np.int64)))
 @example((32003, np.zeros((5, 0), dtype=np.int64)))
+@example((3037000493, np.zeros((0, 0), dtype=np.int64)))
 def test_elimination_equals_gauss_jordan_over_python_ints(case):
     p, m = case
     field = PrimeField(p)
@@ -224,10 +225,19 @@ def test_elimination_equals_gauss_jordan_over_python_ints(case):
     r, pivots, rank = field.rref(m)
     expected, expected_pivots = gauss_jordan(m.tolist(), cols, p)
     assert r.dtype == np.int64 and r.shape == m.shape
-    assert r.tolist() == expected and pivots == expected_pivots and rank == len(pivots)
+    assert r.tolist() == expected and pivots == expected_pivots and rank == len(pivots) == field.rank(m)
+    # a @ X = b is solved for b = a @ Y, and a zero a with rows reaches no nonzero b
+    y = np.arange(2 * cols, dtype=np.int64).reshape(cols, 2)
+    b = (m.astype(object) @ y.astype(object)) % p
+    x = field.solve_matrix(m, np.array(b, dtype=np.int64).reshape(rows, 2))
+    assert x.shape == (cols, 2) and not np.any((m.astype(object) @ x.astype(object) - b) % p)
+    assert field.solve_matrix(m, np.zeros((rows, 0), dtype=np.int64)).shape == (cols, 0)
+    if rows and not m.any():
+        assert field.solve_matrix(m, np.ones((rows, 1), dtype=np.int64)) is None
     kernel = field.kernel_basis(m)
     free = [c for c in range(cols) if c not in pivots]
     assert kernel.shape == (cols, cols - rank)
     assert kernel[free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
     assert not np.any((m.astype(object) @ kernel.astype(object)) % p)
     assert ((0 <= kernel) & (kernel < p)).all()
+
