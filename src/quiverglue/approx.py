@@ -87,12 +87,20 @@ class CoresolutionWitness:
         return len(self.steps)
 
 
+def _add_members(m: QModule, reps: list[QModule]) -> set[int] | None:
+    """The positions of the reps matching m's indecomposable summands, or None if one matches none."""
+    found = set()
+    for piece, _ in decompose(m):
+        i = next((i for i, rep in enumerate(reps) if indecomposable_iso(rep, piece) is not None), None)
+        if i is None:
+            return None
+        found.add(i)
+    return found
+
+
 def in_add(m: QModule, reps: list[QModule]) -> bool:
     """Whether every indecomposable summand of m matches some rep."""
-    for piece, _ in decompose(m):
-        if not any(indecomposable_iso(rep, piece) is not None for rep in reps):
-            return False
-    return True
+    return _add_members(m, reps) is not None
 
 
 # -- minimal approximations -------------------------------------------------
@@ -349,8 +357,9 @@ def special_precover_universe(
     """0 -> K -> U0 -> X -> 0 from the minimal right add(U)-approximation.
 
     Wakamatsu's lemma puts the kernel of the minimal approximation into
-    the right-orthogonal class; both that Ext certificate and membership
-    of K in add(v_list) are recomputed here.
+    the right-orthogonal class; both membership of K in add(v_list) and
+    that Ext certificate are recomputed here.  K is a sum of the matched
+    members, so Ext^1(U, K) is read off Ext^1(U, V) for those V.
     """
     f = minimal_right_approximation(x, u_list)
     if not f.is_surjective():
@@ -358,11 +367,15 @@ def special_precover_universe(
     k, incl = kernel(f)
     ses = hgy.ShortExactSequence(incl=incl, proj=f)
     ses.verify()
-    bad = [i for i, u in enumerate(u_list) if k.total_dim and u.total_dim and hgy.ext(u, k, 1).dimension]
+    matched = _add_members(k, v_list)
+    if matched is None:
+        raise KernelNotInV("kernel has a summand outside the V class")
+    bad = [
+        i for i, u in enumerate(u_list)
+        if u.total_dim and any(hgy.ext(u, v_list[j], 1).dimension for j in matched)
+    ]
     if bad:
         raise KernelNotInV(f"Ext^1(U, K) != 0 for U at positions {bad}")
-    if not in_add(k, v_list):
-        raise KernelNotInV("kernel has a summand outside the V class")
     return ApproxSequence(
         kind="precover",
         seq=ses,
@@ -375,18 +388,26 @@ def special_preenvelope_universe(
     u_list: list[QModule],
     v_list: list[QModule],
 ) -> ApproxSequence:
-    """0 -> X -> V0 -> C -> 0 from the minimal left add(V)-approximation."""
+    """0 -> X -> V0 -> C -> 0 from the minimal left add(V)-approximation.
+
+    The mirror of ``special_precover_universe``: C must lie in
+    add(u_list), and Ext^1(C, V) is read off Ext^1(U, V) for the matched U.
+    """
     f = minimal_left_approximation(x, v_list)
     if not f.is_injective():
         raise PreconditionFailed("left approximation is not injective; are all injectives in V?")
     c, proj = cokernel(f)
     ses = hgy.ShortExactSequence(incl=f, proj=proj)
     ses.verify()
-    bad = [i for i, v in enumerate(v_list) if c.total_dim and v.total_dim and hgy.ext(c, v, 1).dimension]
+    matched = _add_members(c, u_list)
+    if matched is None:
+        raise KernelNotInV("cokernel has a summand outside the U class")
+    bad = [
+        i for i, v in enumerate(v_list)
+        if v.total_dim and any(hgy.ext(u_list[j], v, 1).dimension for j in matched)
+    ]
     if bad:
         raise KernelNotInV(f"Ext^1(C, V) != 0 for V at positions {bad}")
-    if not in_add(c, u_list):
-        raise KernelNotInV("cokernel has a summand outside the U class")
     return ApproxSequence(
         kind="preenvelope",
         seq=ses,

@@ -33,7 +33,7 @@ from .errors import (
     UnknownName,
 )
 from .recollement import build_recollement
-from .textio import parse_algebra, parse_module, parse_universe
+from .textio import directives, parse_algebra, parse_module, parse_universe
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -124,8 +124,7 @@ def cmd_recollement(args) -> int:
 
 
 def _declared_universe_algebra(path: str) -> str | None:
-    for raw in Path(path).read_text().splitlines():
-        parts = raw.split("#", 1)[0].split()
+    for _, _, parts in directives(Path(path).read_text()):
         if parts[:2] == ["universe", "over"] and len(parts) == 3:
             return parts[2]
     return None

@@ -45,8 +45,9 @@ from .recollement import Recollement
 from .tilting import (
     CotorsionPairData,
     _least_degree,
-    _pair_from_verified,
     _perp_in_universe,
+    cotorsion_pair_from_cotilting,
+    cotorsion_pair_from_tilting,
     verify_cotilting,
     verify_pair_axioms,
     verify_tilting,
@@ -86,17 +87,16 @@ def glued_classes(
     pair_a: CotorsionPairData,
     pair_c: CotorsionPairData,
     universe_b: Universe,
-    verify_approximations: bool = True,
 ) -> GluedPair:
     """Compute and certify the glued pair from pairs on the outer categories.
 
     ``universe_b.validate()`` runs first, so a universe with two isomorphic
-    members raises ``UniverseInconsistent`` naming both.  With
-    ``verify_approximations``, completeness of the pair (U2, V2) is
-    certified member by member: a member outside U2 gets a special
-    U2-precover and a member outside V2 a special V2-preenvelope, each
-    built from a minimal approximation and re-checked.  A member of a
-    class is its own approximation, with zero as the other term.
+    members raises ``UniverseInconsistent`` naming both.  Completeness of
+    the pair (U2, V2) is always certified member by member: a member
+    outside U2 gets a special U2-precover and a member outside V2 a
+    special V2-preenvelope, each built from a minimal approximation and
+    re-checked.  A member of a class is its own approximation, with zero
+    as the other term.
     """
     _require_exactness(rec)
     if pair_a.universe.algebra is not rec.a_algebra or pair_c.universe.algebra is not rec.c_algebra:
@@ -130,7 +130,7 @@ def glued_classes(
         raise UniverseInconsistent(f"perpendicular class escapes the candidate class: {stray}")
 
     hereditary_inputs = pair_a.hereditary and pair_c.hereditary
-    checks = verify_pair_axioms(universe_b, u2_names, v2_names, check_hereditary=hereditary_inputs)
+    checks = verify_pair_axioms(universe_b, u2_names, v2_names)
     if not checks["v_is_u_perp"] or not checks["u_is_perp_v"] or not checks["ext1_vanishes"]:
         raise UniverseInconsistent(f"glued classes fail the pair identities: {checks}")
     if not checks["projectives_in_u"] or not checks["injectives_in_v"]:
@@ -139,16 +139,15 @@ def glued_classes(
         raise UniverseInconsistent("hereditary inputs glued to a non-hereditary pair")
 
     u2_set, v2_set = set(u2_names), set(v2_names)
-    if verify_approximations:
-        for name, x in universe_b.members:
-            # a member of U2 is its own special precover, 0 -> 0 -> X -> X -> 0,
-            # and a member of V2 its own special preenvelope, 0 -> X -> X -> 0 -> 0:
-            # 0 lies in both classes, so these sequences are certified by construction
-            if name not in u2_set:
-                special_precover_universe(x, u2_mods, v2_mods)
-            if name not in v2_set:
-                special_preenvelope_universe(x, u2_mods, v2_mods)
-        checks["approximations"] = True
+    for name, x in universe_b.members:
+        # a member of U2 is its own special precover, 0 -> 0 -> X -> X -> 0,
+        # and a member of V2 its own special preenvelope, 0 -> X -> X -> 0 -> 0:
+        # 0 lies in both classes, so these sequences are certified by construction
+        if name not in u2_set:
+            special_precover_universe(x, u2_mods, v2_mods)
+        if name not in v2_set:
+            special_preenvelope_universe(x, u2_mods, v2_mods)
+    checks["approximations"] = True
 
     t2_names = tuple(n for n in u2_names if n in v2_set)
     return GluedPair(
@@ -272,17 +271,12 @@ def glue_tilting(
     universe_a: Universe,
     universe_c: Universe,
     universe_b: Universe,
-    verify_approximations: bool = True,
 ) -> GlueResult:
     """Glue tilting modules: T2 = i_* T1 (+) K over the c-side summands."""
     _require_exactness(rec)
-    verify_tilting(t1, n1).require()
-    verify_tilting(t3, n3).require()
-    pair_a = _pair_from_verified(t1, n1, universe_a, "tilting")
-    pair_c = _pair_from_verified(t3, n3, universe_c, "tilting")
-    glued = glued_classes(
-        rec, pair_a, pair_c, universe_b, verify_approximations=verify_approximations
-    )
+    pair_a = cotorsion_pair_from_tilting(t1, n1, universe_a)
+    pair_c = cotorsion_pair_from_tilting(t3, n3, universe_c)
+    glued = glued_classes(rec, pair_a, pair_c, universe_b)
 
     parts = [rec.i_star(t1)]
     for rep, mult in decompose(t3):
@@ -336,17 +330,12 @@ def glue_cotilting(
     universe_a: Universe,
     universe_c: Universe,
     universe_b: Universe,
-    verify_approximations: bool = True,
 ) -> GlueResult:
     """Glue cotilting modules through the universe route."""
     _require_exactness(rec)
-    verify_cotilting(t1, n1).require()
-    verify_cotilting(t3, n3).require()
-    pair_a = _pair_from_verified(t1, n1, universe_a, "cotilting")
-    pair_c = _pair_from_verified(t3, n3, universe_c, "cotilting")
-    glued = glued_classes(
-        rec, pair_a, pair_c, universe_b, verify_approximations=verify_approximations
-    )
+    pair_a = cotorsion_pair_from_cotilting(t1, n1, universe_a)
+    pair_c = cotorsion_pair_from_cotilting(t3, n3, universe_c)
+    glued = glued_classes(rec, pair_a, pair_c, universe_b)
 
     t2 = direct_sum(rec.total, [universe_b.module(n) for n in glued.t2_names])
     bound = max(n1 + 1, n3)
@@ -398,9 +387,7 @@ def dual_glue_cross_check(
     its a-side tilting input.  The two sets are equal only when perp-V2
     equals L.
     """
-    cotilt = glue_cotilting(
-        rec, t1, n1, t3, n3, universe_a, universe_c, universe_b, verify_approximations=False
-    )
+    cotilt = glue_cotilting(rec, t1, n1, t3, n3, universe_a, universe_c, universe_b)
     op_rec = opposite_recollement(rec)
     # duality swaps the outer categories; transport moves the dual
     # modules onto the op-recollement's own corner-algebra objects
@@ -413,7 +400,6 @@ def dual_glue_cross_check(
         universe_c.dualized().transported(op_rec.a_algebra),
         universe_a.dualized().transported(op_rec.c_algebra),
         universe_b.dualized().transported(op_rec.total),
-        verify_approximations=False,
     )
     # universes share member names, so the basic sets compare directly
     return cotilt.basic_names, tilt.basic_names

@@ -45,6 +45,15 @@ from .modcat import (
 DEFAULT_DIM_CAP = 8
 
 
+def exact_at_middle(first: QMorphism, second: QMorphism) -> bool:
+    """Whether L -> M -> R is exact at M: a zero composite, and rank(first) = nullity(second) at every vertex."""
+    field = first.target.algebra.field
+    return second.compose(first).is_zero() and all(
+        field.rank(first.blocks[v]) == second.blocks[v].shape[1] - field.rank(second.blocks[v])
+        for v in first.target.dims
+    )
+
+
 @dataclass(frozen=True)
 class ShortExactSequence:
     """0 -> sub -> mid -> quot -> 0 with verification on demand."""

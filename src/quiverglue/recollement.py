@@ -6,8 +6,8 @@ classical six functors between the three module categories:
 
     i_* / j_*  extend by zero,
     i^! / j^*  restrict to the vertex block,
-    i^*        quotients the a-block by the arrow-closed span of the
-               connecting maps (the cokernel of the structure map),
+    i^*        quotients the a-block by the images of the residue paths
+               from the c-block (the cokernel of the structure map),
     j_!        places the induced bimodule tensor product on the a-block.
 
 The bimodule is the span of residue paths from the c-side to the a-side;
@@ -164,32 +164,23 @@ class Recollement:
 
     # -- i^*: cokernel of the connecting structure ------------------------
 
-    def _connecting_span(self, m: QModule) -> dict[str, np.ndarray]:
-        """Arrow-closed span of the connecting-map images, per a-vertex."""
-        field = self.total.field
-        spans = {v: field.zeros(m.dims[v], 0) for v in self.a_vertices}
-        for arrow in self._connecting:
-            spans[arrow.target] = np.hstack([spans[arrow.target], m.maps[arrow.name]])
-        changed = True
-        while changed:
-            changed = False
-            for arrow in self.a_algebra.quiver.arrows:
-                u, w = arrow.source, arrow.target
-                pushed = field.matmul(m.maps[arrow.name], field.image_basis(spans[u]))
-                before = field.rank(spans[w])
-                spans[w] = np.hstack([spans[w], pushed])
-                if field.rank(spans[w]) != before:
-                    changed = True
-        return {v: field.image_basis(spans[v]) for v in self.a_vertices}
+    def _bimodule_action(self, m: QModule, v: str) -> np.ndarray:
+        """The residue paths c -> v acting on m, side by side: m at their sources -> m_v."""
+        actions = [m.path_action(self.total.basis[bi]) for bi in self._bimodule_paths[v]]
+        return np.hstack([self.total.field.zeros(m.dims[v], 0), *actions])
 
     def i_upper_star_with_proj(self, m: QModule) -> tuple[QModule, QMorphism]:
-        """(i^* m, projection i^! m ->> i^* m)."""
+        """(i^* m, projection i^! m ->> i^* m).
+
+        Every path c -> v crosses exactly one connecting arrow, so the images
+        of the residue paths c -> v span the submodule the c-block generates.
+        """
         self._expect_total(m)
+        field = self.total.field
 
         def build():
-            restricted = self.i_shriek(m)
-            spans = self._connecting_span(m)
-            return quotient_by_images(restricted, spans)
+            spans = {v: field.image_basis(self._bimodule_action(m, v)) for v in self.a_vertices}
+            return quotient_by_images(self.i_shriek(m), spans)
 
         return memo(self, "i_upper_star", m, build)
 
@@ -325,10 +316,11 @@ class Recollement:
         _, layout = self._tensor_module(y)
         blocks = {v: field.identity(m.dims[v]) for v in self.c_vertices}
         for v in self.a_vertices:
-            actions = [m.path_action(self.total.basis[bi]) for bi in self._bimodule_paths[v]]
-            big = np.hstack([field.zeros(m.dims[v], 0), *actions])
             blocks[v] = _factor_through(
-                field, layout["proj"][v], big, "counit not well defined on the tensor quotient"
+                field,
+                layout["proj"][v],
+                self._bimodule_action(m, v),
+                "counit not well defined on the tensor quotient",
             )
         return QMorphism(source, m, blocks)
 
@@ -354,18 +346,15 @@ class Recollement:
     # -- exactness certificates ---------------------------------------------
 
     def _left_derived_vanishes(self, algebra, functor_mor) -> bool:
-        """The first left-derived functor of ``functor_mor`` vanishes on every simple of ``algebra``."""
-        field = self.total.field
+        """The first left-derived functor of ``functor_mor`` vanishes on every simple of ``algebra``.
+
+        H1 of the functor applied to P2 -> P1 -> P0 is zero exactly when
+        that complex is exact at P1.
+        """
         for v in algebra.quiver.vertices:
             res = hgy.projective_resolution(simple(algebra, v), 2)
-            d1 = functor_mor(res.differentials[0])
-            d2 = functor_mor(res.differentials[1])
-            # H1 = ker(d1) / im(d2), dimensions add up vertex-wise
-            h1 = 0
-            for u in d1.blocks:
-                ker_dim = d1.blocks[u].shape[1] - field.rank(d1.blocks[u])
-                h1 += ker_dim - field.rank(d2.blocks[u])
-            if h1 != 0:
+            d1, d2 = (functor_mor(d) for d in res.differentials[:2])
+            if not hgy.exact_at_middle(d2, d1):
                 return False
         return True
 
@@ -379,25 +368,12 @@ def _factor_through(field, proj: np.ndarray, rhs: np.ndarray, failure: str) -> n
 
 
 def _certify(first: QMorphism, second: QMorphism) -> CanonicalSequence:
-    field = first.source.algebra.field
-    exact_left = first.is_injective()
-    exact_right = second.is_surjective()
-    exact_middle = True
-    if not second.compose(first).is_zero():
-        exact_middle = False
-    else:
-        for v in first.blocks:
-            im_rank = field.rank(first.blocks[v])
-            ker_dim = second.blocks[v].shape[1] - field.rank(second.blocks[v])
-            if im_rank != ker_dim:
-                exact_middle = False
-                break
     return CanonicalSequence(
         first=first,
         second=second,
-        exact_left=exact_left,
-        exact_middle=exact_middle,
-        exact_right=exact_right,
+        exact_left=first.is_injective(),
+        exact_middle=hgy.exact_at_middle(first, second),
+        exact_right=second.is_surjective(),
     )
 
 

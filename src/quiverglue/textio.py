@@ -22,6 +22,7 @@ characteristic.  Omitted dims are zero; omitted maps are zero matrices.
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -30,6 +31,14 @@ from .algebra import BoundQuiverAlgebra, Quiver, RelationSum, build_algebra
 from .errors import ParseError, UnknownName
 from .linalg import PrimeField
 from .modcat import QModule, Universe
+
+
+def directives(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line, its words) per directive: ``#`` comments cut, blank lines skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, line.split()
 
 
 def _segment_arrows(word: str, names: set[str], line: int) -> list[str]:
@@ -60,11 +69,7 @@ def parse_algebra(
     arrows: list[tuple[str, str, str]] = []
     relation_specs: list[tuple[int, list[tuple[int, str]]]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, line, parts in directives(text):
         keyword = parts[0]
         if keyword == "field":
             if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
@@ -151,11 +156,7 @@ def parse_module(text: str, algebra: BoundQuiverAlgebra) -> tuple[str, QModule]:
     vertex_set = set(algebra.quiver.vertices)
     arrow_names = {a.name for a in algebra.quiver.arrows}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, line, parts in directives(text):
         keyword = parts[0]
         if keyword == "module":
             if len(parts) != 4 or parts[2] != "over":
@@ -213,13 +214,8 @@ def print_module(name: str, module: QModule) -> str:
 def parse_universe(manifest_path: str | FsPath, algebra: BoundQuiverAlgebra) -> Universe:
     """Load a universe manifest; member paths resolve relative to it."""
     manifest_path = FsPath(manifest_path)
-    text = manifest_path.read_text()
     members: list[tuple[str, QModule]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, _, parts in directives(manifest_path.read_text()):
         if parts[0] == "universe":
             if len(parts) != 3 or parts[1] != "over":
                 raise ParseError("expected 'universe over <algebra>'", lineno)

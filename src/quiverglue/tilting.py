@@ -161,12 +161,12 @@ def verify_pair_axioms(
     universe: Universe,
     u_names: list[str],
     v_names: list[str],
-    check_hereditary: bool = True,
 ) -> dict:
     """Re-verify the cotorsion-pair identities on the universe.
 
-    Checks Ext-orthogonality, mutual perpendicularity, and that
-    projectives (resp. injectives) land in U (resp. V).
+    Checks Ext-orthogonality in degrees one and two, mutual
+    perpendicularity, and that projectives (resp. injectives) land in U
+    (resp. V).
     """
     algebra = universe.algebra
     u_mods = [universe.module(n) for n in u_names]
@@ -191,10 +191,9 @@ def verify_pair_axioms(
             found[side].add(name)
     checks["projectives_in_u"] = found["projective"] <= set(u_names)
     checks["injectives_in_v"] = found["injective"] <= set(v_names)
-    if check_hereditary:
-        checks["ext2_vanishes"] = all(
-            hgy.ext(u, v, 2).dimension == 0 for u in u_mods for v in v_mods
-        )
+    checks["ext2_vanishes"] = all(
+        hgy.ext(u, v, 2).dimension == 0 for u in u_mods for v in v_mods
+    )
     return checks
 
 

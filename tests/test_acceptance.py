@@ -272,7 +272,6 @@ def test_criterion_9b_duality_route():
 
         perp_v2 = set(glue_cotilting(
             rec, t1, n1, t3, n3, universe_a, universe_c, universe_b,
-            verify_approximations=False,
         ).glued.u2_names)
         assert cotilt_names != dual_names
         assert perp_v2 < left
@@ -302,7 +301,6 @@ def test_criterion_10_seed_and_prime_robustness(monkeypatch, example, expected):
             result = glue_fn(
                 workspace.recollement, t1, n1, t3, n3,
                 workspace.universe_a, workspace.universe_c, workspace.universe_b,
-                verify_approximations=False,
             )
             reports.add((
                 tuple(sorted(result.decomposition.items())),

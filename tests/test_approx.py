@@ -21,7 +21,7 @@ from quiverglue.approx import (
     universal_extension,
 )
 from quiverglue.bundled import load_workspace
-from quiverglue.errors import NotSurjective, NotTilting, PreconditionFailed
+from quiverglue.errors import KernelNotInV, NotSurjective, NotTilting, PreconditionFailed
 from quiverglue.modcat import (
     QModule,
     _block_products,
@@ -321,6 +321,42 @@ def test_preenvelope_universe_dual(bound_a3, univ_c):
     assert seq.seq.sub.dim_vector() == univ_c.module("S(3)").dim_vector()
     for rep, _ in decompose(seq.seq.quot):
         assert any(is_isomorphic(rep, u) is not None for u in u_mods)
+
+
+# Two classes of Lambda that are not closed under extensions, so Wakamatsu's
+# lemma does not apply.  The precover of (P(1)|S(4)) over PRECOVER_U has the
+# kernel (0|P(5)) + (S(2)|0), and the preenvelope of (S(1)|P(3)) over
+# PREENVELOPE_V has the cokernel (0|S(3)).
+PRECOVER_U = ("(0|P(5))", "(P(1)|0)", "(P(1)|P(3))", "(S(2)|0)", "(S(2)|P(4))", "(S(1)|0)")
+PREENVELOPE_V = ("(0|P(3))", "(0|P(4))", "(0|S(3))", "(P(1)|P(3))", "(S(1)|S(3))", "(S(1)|0)")
+
+
+def test_precover_raises_when_ext_to_the_kernel_survives(univ_b):
+    u_mods = [univ_b.module(n) for n in PRECOVER_U]
+    with pytest.raises(KernelNotInV, match=r"Ext\^1\(U, K\) != 0 .*\[5\]"):
+        special_precover_universe(univ_b.module("(P(1)|S(4))"), u_mods, univ_b.modules())
+
+
+def test_precover_raises_when_the_kernel_leaves_the_v_class(univ_b):
+    # (S(2)|0) is a kernel summand and a member of U; the class check comes first
+    u_mods = [univ_b.module(n) for n in PRECOVER_U]
+    v_mods = [m for name, m in univ_b.members if name != "(S(2)|0)"]
+    with pytest.raises(KernelNotInV, match="outside the V class"):
+        special_precover_universe(univ_b.module("(P(1)|S(4))"), u_mods, v_mods)
+
+
+def test_preenvelope_raises_when_ext_from_the_cokernel_survives(univ_b):
+    v_mods = [univ_b.module(n) for n in PREENVELOPE_V]
+    with pytest.raises(KernelNotInV, match=r"Ext\^1\(C, V\) != 0 .*\[5\]"):
+        special_preenvelope_universe(univ_b.module("(S(1)|P(3))"), univ_b.modules(), v_mods)
+
+
+def test_preenvelope_raises_when_the_cokernel_leaves_the_u_class(univ_b):
+    # the cokernel (0|S(3)) is a member of V; the class check comes first
+    u_mods = [m for name, m in univ_b.members if name != "(0|S(3))"]
+    v_mods = [univ_b.module(n) for n in PREENVELOPE_V]
+    with pytest.raises(KernelNotInV, match="outside the U class"):
+        special_preenvelope_universe(univ_b.module("(S(1)|P(3))"), u_mods, v_mods)
 
 
 def test_in_T_wedge_membership(a2, bound_a3):

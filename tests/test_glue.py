@@ -150,8 +150,7 @@ def test_k_construction_guards(rec, cotilting_inputs, univ_a, lc):
 def test_trivial_gluing_gives_projectives(rec, univ_a, univ_c, univ_b, la, lc):
     t1 = direct_sum(la, [projective(la, v) for v in la.quiver.vertices])
     t3 = direct_sum(lc, [projective(lc, v) for v in lc.quiver.vertices])
-    result = glue_tilting(rec, t1, 1, t3, 1, univ_a, univ_c, univ_b,
-                          verify_approximations=False)
+    result = glue_tilting(rec, t1, 1, t3, 1, univ_a, univ_c, univ_b)
     projective_names = {
         univ_b.find_member(projective(rec.total, v)) for v in rec.total.quiver.vertices
     }
@@ -171,8 +170,7 @@ def test_trivial_cotilting_glue(rec, univ_a, univ_c, univ_b, la, lc):
 
     t1 = direct_sum(la, [inj(la, v) for v in la.quiver.vertices])
     t3 = direct_sum(lc, [inj(lc, v) for v in lc.quiver.vertices])
-    result = glue_cotilting(rec, t1, 1, t3, 1, univ_a, univ_c, univ_b,
-                            verify_approximations=False)
+    result = glue_cotilting(rec, t1, 1, t3, 1, univ_a, univ_c, univ_b)
     injective_names = {
         univ_b.find_member(inj(rec.total, v)) for v in rec.total.quiver.vertices
     }
@@ -280,7 +278,7 @@ def test_seed_and_prime_robustness(monkeypatch, tilting_inputs, cotilting_inputs
         ws = load_workspace()
         kind, t1, n1, t3, n3, expected = ws.example_inputs("5-2")
         result = gt(ws.recollement, t1, n1, t3, n3, ws.universe_a, ws.universe_c,
-                    ws.universe_b, verify_approximations=False)
+                    ws.universe_b)
         outcomes.add((result.basic_names, result.n2))
     assert len(outcomes) == 1
 
