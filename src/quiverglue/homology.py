@@ -74,17 +74,21 @@ class ShortExactSequence:
         return self.proj.target
 
     def verify(self) -> None:
+        """Raise ValueError naming the first failure: injectivity, surjectivity, a nonzero composite, exactness.
+
+        Each vertex's two blocks are ranked once; all four tests read those ranks.
+        """
         field = self.mid.algebra.field
-        if not self.incl.is_injective():
+        incl, proj = self.incl.blocks, self.proj.blocks
+        ranks = {v: (field.rank(incl[v]), field.rank(proj[v])) for v in self.mid.dims}
+        if any(r_incl != incl[v].shape[1] for v, (r_incl, _) in ranks.items()):
             raise ValueError("left map is not injective")
-        if not self.proj.is_surjective():
+        if any(r_proj != proj[v].shape[0] for v, (_, r_proj) in ranks.items()):
             raise ValueError("right map is not surjective")
         if not self.proj.compose(self.incl).is_zero():
             raise ValueError("composite is nonzero")
-        for v in self.mid.dims:
-            rank_incl = field.rank(self.incl.blocks[v])
-            nullity = self.proj.blocks[v].shape[1] - field.rank(self.proj.blocks[v])
-            if rank_incl != nullity:
+        for v, (r_incl, r_proj) in ranks.items():
+            if r_incl != proj[v].shape[1] - r_proj:
                 raise ValueError(f"not exact at the middle, vertex {v}")
 
 
@@ -316,7 +320,8 @@ def _ext_compute(m: QModule, n: QModule, i: int) -> ExtGroup:
     # of the factoring subspace (rref-normalized, hence deterministic)
     _, fac_pivots, fac_rank = field.rref(fac_coords.T)
     dimension = len(full) - fac_rank
-    free_rows = [r for r in range(len(full)) if r not in set(fac_pivots)]
+    fac_pivot_set = set(fac_pivots)
+    free_rows = [r for r in range(len(full)) if r not in fac_pivot_set]
     cocycles = [full[r] for r in free_rows]
 
     # cross-check against the Hom-complex cohomology

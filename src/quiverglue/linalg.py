@@ -10,11 +10,19 @@ most (p-1)**2, so ``PrimeField`` rejects every p with (p-1)**2 above
 2**63 - 1.  ``matmul`` sums k such products before reducing; when
 k * (p-1)**2 would pass 2**63 - 1 (at p = 32003, k above about
 9 * 10**9) it sums the products over inner blocks of ``max_inner``
-instead, reducing each block mod p.  Elimination clears a pivot column
-either row by row or, when it has three or more other nonzero entries,
-with one rank-one update of the columns from the pivot on (as dense
-elimination over word-size primes does; Dumas, Giorgi & Pernet, ACM
-TOMS 35(3), 2008).  Either way each entry takes one product of
+instead, reducing each block mod p.
+
+Elimination (``rref``, ``kernel_basis``, ``solve_matrix`` and what is
+built on them) has two routes with the same output, since the reduced
+form is unique.  An input of at most ``SMALL`` cells is reduced on lists
+of Python integers, where numpy's per-call overhead would cost more than
+the arithmetic; this is the base case of dense elimination over
+word-size primes (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
+``BENCH_small_exact.json`` times both routes on every recorded input of
+the three benchmark workloads.  A larger input is reduced on int64
+arrays: a pivot column with three or more other nonzero entries is
+cleared with one rank-one update of the columns from the pivot on,
+a sparser one row by row.  Either way each entry takes one product of
 residues and is reduced before the next pivot, so it needs only the
 first bound.
 """
@@ -29,6 +37,8 @@ from .errors import NonIntegerEntries, PreconditionFailed, ShapeMismatch
 
 DEFAULT_PRIME = 101
 INT64_MAX = 2**63 - 1
+# eliminations with at most this many cells run on Python integers
+SMALL = 64
 
 
 def is_prime(n: int) -> bool:
@@ -140,20 +150,77 @@ class PrimeField:
 
         Returns ``(R, pivots, rank)`` where ``R`` is row-equivalent to
         ``m``, pivot columns are strictly increasing and pivot entries
-        are 1 with zeros above and below.  The form is unique, so how
-        the other rows are cleared does not change it: a pivot column
-        with three or more other nonzero entries is cleared with one
-        rank-one update, a sparser one with one row operation per entry.
-        The density of the column, not the shape of the input, decides
-        which is faster (``BENCH_dense_rref.json``, best of 5 per input,
-        seed 7): on line-glue's 19,325 one-row inputs the loop takes
-        0.167 s and the update 0.229 s, on its 114 tall sparse inputs of
-        eight or more rows 0.034 s and 0.046 s, and on decompose-dense's
-        90 dense ones 0.035 s and 0.015 s.  An input with no rows or no
-        columns is already reduced: its form is zero, with no pivots.
+        are 1 with zeros above and below.  The form is unique, so the
+        route does not change it: an input of at most ``SMALL`` cells is
+        reduced by ``reduce_rows`` on Python integers, a larger one by
+        ``_rref_numpy`` (``BENCH_small_exact.json`` times both on every
+        recorded input of the benchmark workloads).  An input with no rows or no columns is already
+        reduced: its form is zero, with no pivots.
         """
         if not m.size:
             return np.zeros(m.shape, dtype=np.int64), [], 0
+        if m.size <= SMALL:
+            r, pivots = self.reduce_rows(np.mod(m, self.p).tolist())
+            return np.array(r, dtype=np.int64).reshape(m.shape), pivots, len(pivots)
+        return self._rref_numpy(m)
+
+    def reduce_rows(self, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+        """Gauss-Jordan reduction of a matrix given as rows of residues 0..p-1 (Python ints).
+
+        Returns the rows of the reduced form and its pivot columns, the
+        output of ``rref`` as lists.  ``rows`` is left as it was: rows are
+        replaced, never written into.
+        """
+        p = self.p
+        r = list(rows)
+        n = len(r)
+        pivots: list[int] = []
+        for col in range(len(r[0]) if r else 0):
+            top = len(pivots)
+            for found in range(top, n):
+                if r[found][col]:
+                    break
+            else:
+                continue
+            pivot_row = r[found]
+            r[found] = r[top]
+            if pivot_row[col] != 1:
+                inv = pow(pivot_row[col], -1, p)
+                pivot_row = [x * inv % p for x in pivot_row]
+            r[top] = pivot_row
+            for i in range(n):
+                factor = r[i][col]
+                if factor and i != top:
+                    r[i] = [(x - factor * y) % p for x, y in zip(r[i], pivot_row)]
+            pivots.append(col)
+            if top + 1 == n:
+                break
+        return r, pivots
+
+    def kernel_vectors(self, rows: list[list[int]], cols: int) -> list[list[int]]:
+        """The columns of ``kernel_basis`` as lists, for a matrix given as ``reduce_rows`` takes it."""
+        r, pivots = self.reduce_rows(rows)
+        pivot_set = set(pivots)
+        vectors = []
+        for free in range(cols):
+            if free not in pivot_set:
+                vec = [0] * cols
+                vec[free] = 1
+                for row, pc in zip(r, pivots):
+                    vec[pc] = -row[free] % self.p
+                vectors.append(vec)
+        return vectors
+
+    def _rref_numpy(self, m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
+        """``rref`` on int64 arrays, the route for inputs above ``SMALL`` cells.
+
+        A pivot column with three or more other nonzero entries is
+        cleared with one rank-one update, a sparser one with one row
+        operation per entry.  On the recorded inputs above ``SMALL``
+        cells the row loop still wins on line-glue's and bundled-cold's
+        sparse ones and the update on decompose-dense's dense ones
+        (``BENCH_small_exact.json``), so the column decides.
+        """
         r = np.mod(np.array(m, dtype=np.int64), self.p)
         rows, cols = r.shape
         pivots: list[int] = []
@@ -188,9 +255,19 @@ class PrimeField:
         return self.rref(m)[2]
 
     def kernel_basis(self, m: np.ndarray) -> np.ndarray:
-        """Columns spanning ker(m); shape (cols, nullity)."""
-        rows, cols = m.shape
-        r, pivots, rank = self.rref(m)
+        """Columns spanning ker(m), one per free column of its reduced form; shape (cols, nullity)."""
+        cols = m.shape[1]
+        if not m.size:
+            return self.identity(cols)
+        if m.size <= SMALL:
+            vectors = self.kernel_vectors(np.mod(m, self.p).tolist(), cols)
+            return np.array(vectors, dtype=np.int64).reshape(len(vectors), cols).T.copy()
+        return self._kernel_numpy(m)
+
+    def _kernel_numpy(self, m: np.ndarray) -> np.ndarray:
+        """``kernel_basis`` read off ``_rref_numpy``."""
+        cols = m.shape[1]
+        r, pivots, rank = self._rref_numpy(m)
         free = [c for c in range(cols) if c not in pivots]
         basis = self.zeros(cols, len(free))
         for k, fc in enumerate(free):
@@ -216,8 +293,22 @@ class PrimeField:
         if a.shape[0] != b.shape[0]:
             raise ShapeMismatch(f"cannot solve {a.shape} X = {b.shape}")
         rows, cols = a.shape
+        if rows * (cols + b.shape[1]) <= SMALL:
+            aug = [ra + rb for ra, rb in zip(np.mod(a, self.p).tolist(), np.mod(b, self.p).tolist())]
+            r, pivots = self.reduce_rows(aug)
+            if pivots and pivots[-1] >= cols:
+                return None
+            x = [[0] * b.shape[1] for _ in range(cols)]
+            for row, pc in zip(r, pivots):
+                x[pc] = row[cols:]
+            return np.array(x, dtype=np.int64).reshape(cols, b.shape[1])
+        return self._solve_numpy(a, b)
+
+    def _solve_numpy(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+        """``solve_matrix`` read off ``_rref_numpy`` of the augmented matrix."""
+        cols = a.shape[1]
         aug = np.hstack([a, np.mod(b, self.p)])
-        r, pivots, rank = self.rref(aug)
+        r, pivots, rank = self._rref_numpy(aug)
         if any(pc >= cols for pc in pivots):
             return None
         x = self.zeros(cols, b.shape[1])

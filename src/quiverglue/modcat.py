@@ -82,6 +82,7 @@ from .errors import (
     UniverseInconsistent,
     UnknownVertex,
 )
+from .linalg import SMALL
 
 # start of the fixed sequence that the non-commutative search draws from
 _SPLIT_SEED = 0xC0FFEE
@@ -286,32 +287,79 @@ def hom_basis(source: QModule, target: QModule) -> list[QMorphism]:
 
 
 def _hom_basis_compute(source: QModule, target: QModule) -> tuple[QMorphism, ...]:
-    """The kernel K of the square equations, certified by one product system @ K == 0.
+    """A basis of the kernel K of the square equations, certified by one product system @ K == 0.
 
     Unknowns are the blocks X_v (t_v x s_v, row-major).  The equation
     N_a X_u - X_w M_a = 0 of an arrow a: u -> w fills rows (i, j) of its
     block: column (u, k, j) gets N_a[i, k] and column (w, i, l) gets
-    -M_a[l, j].  The basis blocks are read-only views of K, since the hom
-    memo shares them.
+    -M_a[l, j].  A system of at most ``SMALL`` cells is built row by row
+    on Python integers and reduced there (``_hom_kernel_rows``), a larger
+    one by index scatter into an int64 array (``_hom_kernel_scatter``);
+    both give the same K.  The basis blocks are read-only views of K,
+    since the hom memo shares them.
     """
-    field = source.algebra.field
-    quiver = source.algebra.quiver
-    shapes = {v: (target.dims[v], source.dims[v]) for v in quiver.vertices}
-    offsets = {}
-    total = 0
-    for v, (t, s) in shapes.items():
-        offsets[v] = total
-        total += t * s
+    offsets, total = _hom_layout(source, target)
     if total == 0:
         return ()
+    rows = sum(target.dims[a.target] * source.dims[a.source] for a in source.algebra.quiver.arrows)
+    vecs = (_hom_kernel_rows if rows * total <= SMALL else _hom_kernel_scatter)(source, target)
+    vecs.setflags(write=False)
+    shapes = {v: (target.dims[v], source.dims[v]) for v in offsets}
 
+    def blocks(vec: np.ndarray) -> dict[str, np.ndarray]:
+        return {v: vec[offsets[v] : offsets[v] + t * s].reshape(t, s) for v, (t, s) in shapes.items()}
+
+    return tuple(QMorphism._certified(source, target, blocks(vec)) for vec in vecs)
+
+
+def _hom_layout(source: QModule, target: QModule) -> tuple[dict[str, int], int]:
+    """The offset of each block X_v among the unknowns, and their number."""
+    offsets = {}
+    total = 0
+    for v in source.algebra.quiver.vertices:
+        offsets[v] = total
+        total += target.dims[v] * source.dims[v]
+    return offsets, total
+
+
+def _hom_kernel_rows(source: QModule, target: QModule) -> np.ndarray:
+    """The rows of K^T, from the square equations assembled as lists of Python integers."""
+    field = source.algebra.field
+    p = field.p
+    offsets, total = _hom_layout(source, target)
+    system = []
+    for a in source.algebra.quiver.arrows:
+        s_u, s_w = source.dims[a.source], source.dims[a.target]
+        o_u, o_w = offsets[a.source], offsets[a.target]
+        m_a = source.maps[a.name].tolist()
+        for i, n_row in enumerate(target.maps[a.name].tolist()):
+            for j in range(s_u):
+                row = [0] * total
+                for k, x in enumerate(n_row):
+                    row[o_u + k * s_u + j] = x
+                for l in range(s_w):
+                    c = o_w + i * s_w + l
+                    row[c] = (row[c] - m_a[l][j]) % p
+                system.append(row)
+    vectors = field.kernel_vectors(system, total)
+    kernel = np.array(vectors, dtype=np.int64).reshape(len(vectors), total)
+    _certify_hom_kernel(source, target, np.array(system, dtype=np.int64).reshape(len(system), total), kernel.T)
+    return kernel
+
+
+def _hom_kernel_scatter(source: QModule, target: QModule) -> np.ndarray:
+    """The rows of K^T, from the square equations scattered into an int64 array by index."""
+    field = source.algebra.field
+    quiver = source.algebra.quiver
+    offsets, total = _hom_layout(source, target)
     row_counts = [target.dims[a.target] * source.dims[a.source] for a in quiver.arrows]
     system = np.zeros((sum(row_counts), total), dtype=np.int64)
     row = 0
     for a, n_rows in zip(quiver.arrows, row_counts):
         if not n_rows:
             continue
-        (t_u, s_u), (t_w, s_w) = shapes[a.source], shapes[a.target]
+        t_u, t_w = target.dims[a.source], target.dims[a.target]
+        s_u, s_w = source.dims[a.source], source.dims[a.target]
         block = system[row : row + n_rows].reshape(t_w, s_u, total)
         i = np.arange(t_w).reshape(-1, 1, 1)
         j = np.arange(s_u).reshape(1, -1, 1)
@@ -319,18 +367,15 @@ def _hom_basis_compute(source: QModule, target: QModule) -> tuple[QMorphism, ...
         block[i, j, offsets[a.target] + i * s_w + np.arange(s_w)] -= source.maps[a.name].T[None, :, :]
         row += n_rows
     np.mod(system, field.p, out=system)
-
     kernel = field.kernel_basis(system)
-    if np.any(field.matmul(system, kernel)):
+    _certify_hom_kernel(source, target, system, kernel)
+    return kernel.T.copy()
+
+
+def _certify_hom_kernel(source: QModule, target: QModule, system: np.ndarray, kernel: np.ndarray) -> None:
+    if source.algebra.field.matmul(system, kernel).any():
         pair = f"{source.dim_vector()} -> {target.dim_vector()}"
         raise RuntimeError(f"hom kernel certificate failed: system @ K != 0 for {pair}")
-    vecs = kernel.T.copy()
-    vecs.setflags(write=False)
-
-    def blocks(vec: np.ndarray) -> dict[str, np.ndarray]:
-        return {v: vec[offsets[v] : offsets[v] + t * s].reshape(t, s) for v, (t, s) in shapes.items()}
-
-    return tuple(QMorphism._certified(source, target, blocks(vec)) for vec in vecs)
 
 
 def hom_dim(source: QModule, target: QModule) -> int:
@@ -899,19 +944,17 @@ def decompose(m: QModule) -> list[tuple[QModule, int]]:
 def indecomposable_iso(m: QModule, n: QModule) -> QMorphism | None:
     """Isomorphism witness between indecomposables, or None.
 
-    Sound for indecomposables: if m and n are isomorphic, some pair of
-    hom-basis elements composes to a unit in the local ring End(m).
+    Sound for indecomposables: the witness is the first basis map f of
+    Hom(m, n) such that g o f is a unit of the local ring End(m) for some
+    g in a basis of Hom(n, m), and that holds exactly when f is an
+    isomorphism.  A unit g o f makes f injective, hence bijective, as the
+    dim vectors are equal; for an isomorphism f the maps g o f span
+    End(m), and a spanning set of a local ring holds a unit, since its
+    non-units form an ideal.  So Hom(n, m) is never built.
     """
     if m.dim_vector() != n.dim_vector():
         return None
-    fwd = hom_basis(m, n)
-    back = hom_basis(n, m)
-    for f in fwd:
-        for g in back:
-            h = g.compose(f)
-            if h.is_isomorphism():
-                return f
-    return None
+    return next((f for f in hom_basis(m, n) if f.is_isomorphism()), None)
 
 
 def is_isomorphic(m: QModule, n: QModule) -> QMorphism | None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quiverglue import QModule
+from quiverglue import QModule, QMorphism
 from quiverglue import homology as hgy
 from quiverglue.modcat import (
     cokernel,
@@ -24,6 +24,25 @@ from quiverglue.modcat import (
     top_quotient,
     zero_morphism,
 )
+
+
+def test_short_exact_sequence_names_the_first_failure(a2):
+    # 0 -> S2 -> P1 -> S1 -> 0 over 1 -> 2, and broken copies of it: each raises the
+    # first failing test, in the order injective, surjective, zero composite, exact
+    p1, s1, s2 = projective(a2, "1"), simple(a2, "1"), simple(a2, "2")
+    zero = QModule(a2, {}, {"d": np.zeros((0, 0), dtype=np.int64)})
+    incl = QMorphism(s2, p1, {"1": np.zeros((1, 0), dtype=np.int64), "2": np.eye(1, dtype=np.int64)})
+    proj = QMorphism(p1, s1, {"1": np.eye(1, dtype=np.int64), "2": np.zeros((0, 1), dtype=np.int64)})
+    hgy.ShortExactSequence(incl, proj).verify()
+    cases = [
+        (zero_morphism(s2, p1), zero_morphism(p1, s1), "left map is not injective"),
+        (incl, zero_morphism(p1, s1), "right map is not surjective"),
+        (identity_morphism(p1), identity_morphism(p1), "composite is nonzero"),
+        (zero_morphism(zero, p1), proj, "not exact at the middle, vertex 2"),
+    ]
+    for left, right, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hgy.ShortExactSequence(left, right).verify()
 
 
 def test_projective_cover_of_simple(bound_a3):

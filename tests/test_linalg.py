@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quiverglue.errors import NonIntegerEntries, PreconditionFailed, ShapeMismatch
-from quiverglue.linalg import PrimeField
+from quiverglue.linalg import SMALL, PrimeField
 
 
 @pytest.fixture(scope="module")
@@ -162,9 +162,24 @@ def test_integer_dtypes_reduce_exactly(f101):
     assert f101.mat([]).shape == (0, 1)
 
 
+def test_eliminations_leave_python_ints_past_small_cells(monkeypatch):
+    field = PrimeField(101)
+    routes = []
+    for name in ("_rref_numpy", "_kernel_numpy", "_solve_numpy"):
+        original = getattr(PrimeField, name)
+        monkeypatch.setattr(PrimeField, name, lambda self, *a, _f=original, _n=name: routes.append(_n) or _f(self, *a))
+    m = np.ones((1, SMALL), dtype=np.int64)
+    # a solve eliminates the system next to its right-hand side
+    field.rref(m), field.kernel_basis(m), field.solve_matrix(m[:, 1:], m[:, :1])
+    assert routes == []
+    m = np.ones((1, SMALL + 1), dtype=np.int64)
+    field.rref(m), field.kernel_basis(m), field.solve_matrix(m[:, 1:], m[:, :1])
+    assert routes == ["_rref_numpy", "_kernel_numpy", "_rref_numpy", "_solve_numpy", "_rref_numpy"]
+
+
 # -- elimination against Gauss-Jordan over Python ints -----------------------------
 
-ELIMINATION_PRIMES = [101, 32003, 3037000493]
+ELIMINATION_PRIMES = [2, 3, 101, 32003, 3037000493]
 
 
 def gauss_jordan(rows: list[list[int]], cols: int, p: int) -> tuple[list[list[int]], list[int]]:
@@ -190,8 +205,9 @@ def gauss_jordan(rows: list[list[int]], cols: int, p: int) -> tuple[list[list[in
 @st.composite
 def sparse_to_dense_matrices(draw):
     """A prime and a matrix over it: 0-30 x 0-40 with one nonzero, a random density,
-    every entry nonzero, or a low rank, so pivot columns fall on both sides of four
-    nonzero entries, the point where ``rref`` switches to a rank-one update."""
+    every entry nonzero, or a low rank, so inputs fall on both sides of ``SMALL``
+    cells and pivot columns on both sides of four nonzero entries, the point where
+    the int64 route switches to a rank-one update."""
     p = draw(st.sampled_from(ELIMINATION_PRIMES))
     rows = draw(st.one_of(st.integers(0, 3), st.integers(4, 30)))
     cols = draw(st.integers(0, 40))
@@ -211,6 +227,13 @@ def sparse_to_dense_matrices(draw):
     return p, m
 
 
+def near_the_size_bound(p: int, shape: tuple[int, int], seed: int) -> tuple[int, np.ndarray]:
+    """A matrix of rank at most 3 with ``shape``, whose size sits at ``SMALL`` or just past it."""
+    rng = np.random.default_rng(seed)
+    left, right = rng.integers(0, p, size=(shape[0], 3)), rng.integers(0, p, size=(3, shape[1]))
+    return p, np.array((left.astype(object) @ right.astype(object)) % p, dtype=np.int64)
+
+
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(sparse_to_dense_matrices())
 @example((3037000493, np.full((6, 7), 3037000492, dtype=np.int64) - np.eye(6, 7, dtype=np.int64)))
@@ -218,6 +241,15 @@ def sparse_to_dense_matrices(draw):
 @example((101, np.zeros((0, 5), dtype=np.int64)))
 @example((32003, np.zeros((5, 0), dtype=np.int64)))
 @example((3037000493, np.zeros((0, 0), dtype=np.int64)))
+# rref and kernel_basis switch route between SMALL and SMALL + 1 cells; solve_matrix
+# below adds two columns, so a 4 x (SMALL/4 - 2) system is solved at SMALL cells
+@example(near_the_size_bound(2, (8, SMALL // 8), 1))
+@example(near_the_size_bound(3, (5, SMALL // 5 + 1), 2))
+@example(near_the_size_bound(101, (1, SMALL), 3))
+@example(near_the_size_bound(3, (1, SMALL + 1), 4))
+@example(near_the_size_bound(32003, (SMALL + 1, 1), 5))
+@example(near_the_size_bound(3037000493, (4, SMALL // 4 - 2), 6))
+@example(near_the_size_bound(2, (4, SMALL // 4 - 1), 7))
 def test_elimination_equals_gauss_jordan_over_python_ints(case):
     p, m = case
     field = PrimeField(p)
@@ -226,18 +258,30 @@ def test_elimination_equals_gauss_jordan_over_python_ints(case):
     expected, expected_pivots = gauss_jordan(m.tolist(), cols, p)
     assert r.dtype == np.int64 and r.shape == m.shape
     assert r.tolist() == expected and pivots == expected_pivots and rank == len(pivots) == field.rank(m)
+    r_np, pivots_np, rank_np = field._rref_numpy(m)
+    assert r_np.dtype == np.int64 and r_np.tobytes() == r.tobytes() and (pivots_np, rank_np) == (pivots, rank)
     # a @ X = b is solved for b = a @ Y, and a zero a with rows reaches no nonzero b
     y = np.arange(2 * cols, dtype=np.int64).reshape(cols, 2)
-    b = (m.astype(object) @ y.astype(object)) % p
-    x = field.solve_matrix(m, np.array(b, dtype=np.int64).reshape(rows, 2))
+    b = np.array((m.astype(object) @ y.astype(object)) % p, dtype=np.int64).reshape(rows, 2)
+    x = field.solve_matrix(m, b)
     assert x.shape == (cols, 2) and not np.any((m.astype(object) @ x.astype(object) - b) % p)
+    x_np = field._solve_numpy(m, b)
+    assert x.dtype == x_np.dtype == np.int64 and x.tobytes() == x_np.tobytes()
     assert field.solve_matrix(m, np.zeros((rows, 0), dtype=np.int64)).shape == (cols, 0)
     if rows and not m.any():
         assert field.solve_matrix(m, np.ones((rows, 1), dtype=np.int64)) is None
+    if rank < rows:
+        # c @ m = 0 for the c with c[k] = 1 at a free column k of the form of m^T, so the
+        # unit vector at k is outside the column space, on either route
+        _, pivots_t = gauss_jordan(m.T.tolist(), rows, p)
+        outside = np.zeros((rows, 1), dtype=np.int64)
+        outside[next(k for k in range(rows) if k not in pivots_t)] = 1
+        assert field.solve_matrix(m, outside) is None and field._solve_numpy(m, outside) is None
     kernel = field.kernel_basis(m)
     free = [c for c in range(cols) if c not in pivots]
     assert kernel.shape == (cols, cols - rank)
     assert kernel[free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
     assert not np.any((m.astype(object) @ kernel.astype(object)) % p)
     assert ((0 <= kernel) & (kernel < p)).all()
-
+    kernel_np = field._kernel_numpy(m)
+    assert kernel.dtype == kernel_np.dtype and kernel.flags.c_contiguous and kernel.tobytes() == kernel_np.tobytes()

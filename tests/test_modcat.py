@@ -466,23 +466,34 @@ def test_hom_basis_morphisms_revalidate(hom_pairs):
             assert np.array_equal(again.to_vector(), f.to_vector())
 
 
-def test_hom_kernel_certificate_catches_a_corrupted_column(workspace, monkeypatch):
+def test_hom_kernel_certificate_catches_a_corrupted_column(workspace):
     universe = workspace.universe_b
     m = universe.module("(P(1)|P(3))")
     system = kron_system(m, m)
     assert modcat._hom_basis_compute(m, m)
-    # adding a unit vector outside the kernel to the first column leaves the kernel
+    # adding a unit vector outside the kernel to the first basis vector leaves the
+    # kernel, on the list route and on the array route alike
     bad = int(np.flatnonzero(system.any(axis=0))[0])
-    original = PrimeField.kernel_basis
+    kernel_vectors, kernel_basis = PrimeField.kernel_vectors, PrimeField.kernel_basis
 
-    def corrupted(self, a):
-        k = original(self, a).copy()
+    def corrupted_vectors(self, rows, cols):
+        vectors = kernel_vectors(self, rows, cols)
+        vectors[0][bad] = (vectors[0][bad] + 1) % self.p
+        return vectors
+
+    def corrupted_basis(self, a):
+        k = kernel_basis(self, a).copy()
         k[bad, 0] = (k[bad, 0] + 1) % self.p
         return k
 
-    monkeypatch.setattr(PrimeField, "kernel_basis", corrupted)
-    with pytest.raises(RuntimeError, match="hom kernel certificate failed"):
-        modcat._hom_basis_compute(m, m)
+    for assemble, name, corrupted in (
+        (modcat._hom_kernel_rows, "kernel_vectors", corrupted_vectors),
+        (modcat._hom_kernel_scatter, "kernel_basis", corrupted_basis),
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PrimeField, name, corrupted)
+            with pytest.raises(RuntimeError, match="hom kernel certificate failed"):
+                assemble(m, m)
 
 
 def test_hom_basis_blocks_are_read_only(workspace):
@@ -1048,3 +1059,81 @@ def test_chunked_table_equals_the_unchunked_one(end_modules):
     assert len(ends[-1].basis) >= 8
     for end in ends:
         assert np.array_equal(end.table, unchunked_table(end))
+
+
+# -- Hom systems on Python integers and by index scatter -----------------------
+
+
+def assert_same_hom_kernel(m, n):
+    rows, scatter = modcat._hom_kernel_rows(m, n), modcat._hom_kernel_scatter(m, n)
+    assert rows.dtype == scatter.dtype == np.int64 and rows.shape == scatter.shape
+    assert rows.tobytes() == scatter.tobytes()
+
+
+@closure_settings
+@given(module_pairs())
+def test_both_hom_assemblies_give_the_same_basis(pair):
+    # interval sums reach systems on both sides of SMALL cells; each assembly works at any size
+    m, n = pair
+    for source, target in ((m, n), (n, m), (m, m)):
+        assert_same_hom_kernel(source, target)
+
+
+def test_both_hom_assemblies_agree_on_kronecker_modules(kronecker_modules):
+    for m in kronecker_modules:
+        for n in kronecker_modules:
+            assert_same_hom_kernel(m, n)
+
+
+# -- isomorphism witnesses between indecomposables -------------------------------
+
+
+def regular_kronecker(algebra, lam, size, rng=None):
+    """The regular Kronecker module (I, J_size(lam)), in a random basis when rng is given."""
+    a = np.eye(size, dtype=np.int64)
+    b = lam * np.eye(size, dtype=np.int64) + np.eye(size, k=1, dtype=np.int64)
+    if rng is not None:
+        field = algebra.field
+        g, h = (field.mat(rng.integers(0, field.p, size=(size, size))) for _ in range(2))
+        assert field.inverse(g) is not None and field.inverse(h) is not None
+        a, b = (field.matmul(field.matmul(g, x), field.inverse(h)) for x in (a, b))
+    return QModule(algebra, {"1": size, "2": size}, {"a": a, "b": b})
+
+
+def witness_from_composites(m, n):
+    """The witness of the composite rule: the first f of Hom(m, n) with some g o f a unit."""
+    back = hom_basis(n, m)
+    return next((f for f in hom_basis(m, n) if any(g.compose(f).is_isomorphism() for g in back)), None)
+
+
+def test_indecomposable_iso_separates_regular_kronecker_modules(kronecker_modules):
+    algebra = kronecker_modules[0].algebra
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 3):
+        r0, r1 = regular_kronecker(algebra, 0, size), regular_kronecker(algebra, 1, size)
+        assert r0.dim_vector() == r1.dim_vector()
+        assert indecomposable_iso(r0, r1) is None and indecomposable_iso(r1, r0) is None
+        moved = regular_kronecker(algebra, 1, size, rng)
+        f = indecomposable_iso(r1, moved)
+        assert f is not None and f.is_isomorphism() and f is witness_from_composites(r1, moved)
+        assert witness_from_composites(r0, r1) is None
+
+
+def test_indecomposable_iso_returns_the_composite_rule_witness(workspace):
+    members = workspace.universe_b.modules()
+    for m in members:
+        for n in members:
+            if m.dim_vector() == n.dim_vector():
+                assert indecomposable_iso(m, n) is witness_from_composites(m, n)
+
+
+def test_indecomposable_iso_refuses_a_nonzero_map_that_is_no_isomorphism(field):
+    # over k<x, y>/(x, y)^2 the uniserial modules on which x, respectively y, acts are
+    # indecomposable with equal dims; Hom between them is the map from top to socle
+    quiver = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    algebra = build_algebra(quiver, [relation(quiver, [(1, [a, b])]) for a in "xy" for b in "xy"], field=field)
+    shift, zero = [[0, 0], [1, 0]], [[0, 0], [0, 0]]
+    m = QModule(algebra, {"1": 2}, {"x": shift, "y": zero})
+    n = QModule(algebra, {"1": 2}, {"x": zero, "y": shift})
+    assert len(hom_basis(m, n)) == 1 and witness_from_composites(m, n) is None
+    assert indecomposable_iso(m, n) is None
