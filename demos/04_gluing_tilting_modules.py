@@ -29,9 +29,8 @@ print(f"  glued module decomposes as {sorted(result.decomposition.items())}")
 print(f"  verified as {result.n2}-tilting; matches expected: {result.basic_names == expected}")
 
 print("\n  per-summand pushout modules:")
-pair_a = result.glued.pair_a
 for rep, _ in decompose(t3):
-    kc = k_construction(rec, rep, pair_a, glued=result.glued)
+    kc = k_construction(result.glued, rep)
     name = ws.universe_b.find_member(kc.k) or f"dims {kc.k.dim_vector()}"
     print(f"    c-side summand {rep.dim_vector()} -> K = {name}")
 

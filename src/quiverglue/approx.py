@@ -31,7 +31,8 @@ object each time.
 The preenvelope iteration for a tilting module T descends in degree:
 killing Ext^j(T, -) with a universal extension by the (j-1)-st syzygy of
 T cannot recreate any higher degree, because Ext^i(T, Omega^m T) = 0 for
-i > m.  Every emitted sequence carries recomputed Ext certificates.
+i > m.  Every sequence is returned only after its Ext certificates are
+recomputed; a certificate that fails raises instead.
 """
 
 from __future__ import annotations
@@ -63,15 +64,6 @@ from .modcat import (
     zero_module,
     zero_morphism,
 )
-
-
-@dataclass(frozen=True)
-class ApproxSequence:
-    """An approximation short exact sequence plus re-checked certificates."""
-
-    kind: str  # "preenvelope" | "precover"
-    seq: hgy.ShortExactSequence
-    certificates: dict
 
 
 @dataclass(frozen=True)
@@ -175,11 +167,7 @@ class _ApproxClass:
             _, t, m = phi.shape
             if not t:
                 continue
-            side = column.side[v]
-            if m and side.shape[1]:
-                product = self.field.matmul(phi.reshape(n * t, m), side)
-            else:
-                product = np.zeros((n * t, side.shape[1]), dtype=np.int64)
+            product = self.field.matmul(phi.reshape(n * t, m), column.side[v])
             for i in live:
                 k, s = column.sizes[i], self.members[i].dims[v]
                 if s:
@@ -316,7 +304,7 @@ def universal_extension(
 # -- special approximation sequences -----------------------------------------
 
 
-def special_preenvelope_tilting(a: QModule, t: QModule, n: int) -> ApproxSequence:
+def special_preenvelope_tilting(a: QModule, t: QModule, n: int) -> hgy.ShortExactSequence:
     """0 -> A -> V -> U -> 0 with Ext^i(T, V) = 0 and U in the wedge of T.
 
     Degree-descending: the step for degree j extends by copies of the
@@ -345,15 +333,14 @@ def special_preenvelope_tilting(a: QModule, t: QModule, n: int) -> ApproxSequenc
         raise RuntimeError(f"preenvelope failed to clear Ext: {ext_checks}")
     if in_T_wedge(u, t, n) is None:
         raise RuntimeError("preenvelope failed the quotient_in_wedge certificate")
-    certificates = {"ext_T_V": ext_checks, "quotient_in_wedge": True}
-    return ApproxSequence(kind="preenvelope", seq=ses, certificates=certificates)
+    return ses
 
 
 def special_precover_universe(
     x: QModule,
     u_list: list[QModule],
     v_list: list[QModule],
-) -> ApproxSequence:
+) -> hgy.ShortExactSequence:
     """0 -> K -> U0 -> X -> 0 from the minimal right add(U)-approximation.
 
     Wakamatsu's lemma puts the kernel of the minimal approximation into
@@ -376,18 +363,14 @@ def special_precover_universe(
     ]
     if bad:
         raise KernelNotInV(f"Ext^1(U, K) != 0 for U at positions {bad}")
-    return ApproxSequence(
-        kind="precover",
-        seq=ses,
-        certificates={"wakamatsu_ext": True, "kernel_in_v": True},
-    )
+    return ses
 
 
 def special_preenvelope_universe(
     x: QModule,
     u_list: list[QModule],
     v_list: list[QModule],
-) -> ApproxSequence:
+) -> hgy.ShortExactSequence:
     """0 -> X -> V0 -> C -> 0 from the minimal left add(V)-approximation.
 
     The mirror of ``special_precover_universe``: C must lie in
@@ -408,11 +391,7 @@ def special_preenvelope_universe(
     ]
     if bad:
         raise KernelNotInV(f"Ext^1(C, V) != 0 for V at positions {bad}")
-    return ApproxSequence(
-        kind="preenvelope",
-        seq=ses,
-        certificates={"wakamatsu_ext": True, "cokernel_in_u": True},
-    )
+    return ses
 
 
 # -- wedge membership ---------------------------------------------------------

@@ -108,7 +108,6 @@ def cmd_cotorsion(args) -> int:
     print(f"{args.kind} cotorsion pair from {name} (n={args.n}):")
     print("U: " + " ".join(pair.u_names))
     print("V: " + " ".join(pair.v_names))
-    print(f"hereditary: {pair.hereditary}")
     return EXIT_OK
 
 

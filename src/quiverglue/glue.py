@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from . import homology as hgy
 from .approx import (
-    ApproxSequence,
     in_add,
     special_precover_universe,
     special_preenvelope_tilting,
@@ -65,8 +64,6 @@ class GluedPair:
     u2_names: tuple[str, ...]
     v2_names: tuple[str, ...]
     t2_names: tuple[str, ...]
-    hereditary: bool
-    checks: dict
 
     def u2_modules(self) -> list[QModule]:
         return [self.universe.module(n) for n in self.u2_names]
@@ -129,14 +126,7 @@ def glued_classes(
     if stray:
         raise UniverseInconsistent(f"perpendicular class escapes the candidate class: {stray}")
 
-    hereditary_inputs = pair_a.hereditary and pair_c.hereditary
-    checks = verify_pair_axioms(universe_b, u2_names, v2_names)
-    if not checks["v_is_u_perp"] or not checks["u_is_perp_v"] or not checks["ext1_vanishes"]:
-        raise UniverseInconsistent(f"glued classes fail the pair identities: {checks}")
-    if not checks["projectives_in_u"] or not checks["injectives_in_v"]:
-        raise UniverseInconsistent(f"projective/injective containment fails: {checks}")
-    if hereditary_inputs and not checks["ext2_vanishes"]:
-        raise UniverseInconsistent("hereditary inputs glued to a non-hereditary pair")
+    verify_pair_axioms(universe_b, u2_names, v2_names)
 
     u2_set, v2_set = set(u2_names), set(v2_names)
     for name, x in universe_b.members:
@@ -147,7 +137,6 @@ def glued_classes(
             special_precover_universe(x, u2_mods, v2_mods)
         if name not in v2_set:
             special_preenvelope_universe(x, u2_mods, v2_mods)
-    checks["approximations"] = True
 
     t2_names = tuple(n for n in u2_names if n in v2_set)
     return GluedPair(
@@ -158,8 +147,6 @@ def glued_classes(
         u2_names=tuple(u2_names),
         v2_names=tuple(v2_names),
         t2_names=t2_names,
-        hereditary=hereditary_inputs,
-        checks=checks,
     )
 
 
@@ -170,52 +157,38 @@ class KConstruction:
     k: QModule
     row_upper: hgy.ShortExactSequence  # 0 -> j_! T'' -> K -> i_* U -> 0
     row_left: hgy.ShortExactSequence  # 0 -> i_* V -> K -> j_* T'' -> 0
-    preenvelope: ApproxSequence
-    member_names: Counter | None
+    preenvelope: hgy.ShortExactSequence  # 0 -> i^! j_! T'' -> V -> U -> 0
+    member_names: Counter
 
 
-def k_construction(
-    rec: Recollement,
-    t3_summand: QModule,
-    pair_a: CotorsionPairData,
-    glued: GluedPair | None = None,
-    pair_c: CotorsionPairData | None = None,
-) -> KConstruction:
+def k_construction(glued: GluedPair, t3_summand: QModule) -> KConstruction:
     """Build K for one indecomposable c-side summand via the pushout square.
 
     Takes the special preenvelope of i^! j_! T'' in the a-side tilting
-    pair, pushes j_! T'' out along its image, and certifies that the
-    result lands in both glued classes when a glued pair is supplied.
-    When the c-side pair is supplied, membership of the summand in its
-    core is checked up front.
+    pair of ``glued``, pushes j_! T'' out along its image, and certifies
+    that the result lands in the glued core.
     """
+    rec, pair_a = glued.recollement, glued.pair_a
     if pair_a.kind[0] != "tilting":
         raise PreconditionFailed("k construction needs an a-side tilting cotorsion pair")
     _, t1, n1 = pair_a.kind
     if t3_summand.algebra is not rec.c_algebra:
         raise PreconditionFailed("the summand must live over the c-side algebra")
-    if pair_c is not None:
-        core = set(pair_c.u_names) & set(pair_c.v_names)
-        name = pair_c.universe.find_member(t3_summand)
-        if name is None or name not in core:
-            raise PreconditionFailed(
-                f"summand {name or t3_summand.dim_vector()} is not in the c-side core"
-            )
 
     jt = rec.j_lower_shriek(t3_summand)
     z = rec.i_shriek(jt)
     env = special_preenvelope_tilting(z, t1, n1)
 
     theta = rec.unit_i(jt)  # i_* i^! j_! T'' -> j_! T''
-    incl_i = rec.i_star_mor(env.seq.incl)  # i_* z -> i_* V
+    incl_i = rec.i_star_mor(env.incl)  # i_* z -> i_* V
     k_mod, leg_jt, leg_v = hgy.pushout(theta, incl_i)
 
     proj_to_u = hgy._induced_from_pushout(
         k_mod,
         leg_jt,
         leg_v,
-        zero_morphism(jt, rec.i_star(env.seq.quot)),
-        rec.i_star_mor(env.seq.proj),
+        zero_morphism(jt, rec.i_star(env.quot)),
+        rec.i_star_mor(env.proj),
     )
     row_upper = hgy.ShortExactSequence(incl=leg_jt, proj=proj_to_u)
     row_upper.verify()
@@ -235,12 +208,10 @@ def k_construction(
     row_left = hgy.ShortExactSequence(incl=leg_v, proj=proj_to_jstar)
     row_left.verify()
 
-    member_names = None
-    if glued is not None:
-        member_names = glued.universe.decompose_names(k_mod)
-        outside = [n for n in member_names if n not in set(glued.t2_names)]
-        if outside:
-            raise UniverseInconsistent(f"K has summands outside the glued core: {outside}")
+    member_names = glued.universe.decompose_names(k_mod)
+    outside = [n for n in member_names if n not in set(glued.t2_names)]
+    if outside:
+        raise UniverseInconsistent(f"K has summands outside the glued core: {outside}")
     return KConstruction(
         k=k_mod,
         row_upper=row_upper,
@@ -252,14 +223,13 @@ def k_construction(
 
 @dataclass(frozen=True)
 class GlueResult:
-    """Outcome of gluing: the middle module, its degree, and all checks."""
+    """Outcome of gluing: the middle module, its degree and its decomposition."""
 
     t2: QModule
     n2: int
     glued: GluedPair
     decomposition: Counter
     basic_names: frozenset
-    checks: dict
 
 
 def glue_tilting(
@@ -280,7 +250,7 @@ def glue_tilting(
 
     parts = [rec.i_star(t1)]
     for rep, mult in decompose(t3):
-        kc = k_construction(rec, rep, pair_a, glued=glued)
+        kc = k_construction(glued, rep)
         parts.extend([kc.k] * mult)
     t2 = direct_sum(rec.total, parts)
 
@@ -296,28 +266,22 @@ def glue_tilting(
             f"constructive class add({sorted(basic)}) differs from u2&v2 {sorted(glued.t2_names)}"
         )
 
-    checks = {"pd_t2_within_bound": hgy.pd(t2, cap=bound) is not None}
-    gl_a = hgy.global_dimension(rec.a_algebra)
-    if gl_a is not None:
+    if hgy.pd(t2, cap=bound) is None:
+        raise UniverseInconsistent(f"pd of the glued module exceeds max(n1, n3) = {bound}")
+    if hgy.global_dimension(rec.a_algebra) is not None:
         cap_u = max(n1 + 1, n3)
         for name in glued.u2_names:
             if hgy.pd(universe_b.module(name), cap=cap_u) is None:
                 raise UniverseInconsistent(f"pd bound max(n1+1, n3) fails at {name}")
-        checks["pd_u2_within_bound"] = True
+    # the i_*/j_! shortcut holds only for an exact i^*; otherwise it is not checked
     if rec.exactness["i_upper_star"]:
         direct_names = universe_b.decompose_names(
             direct_sum(rec.total, [rec.i_star(t1), rec.j_lower_shriek(t3)])
         )
         if frozenset(direct_names) != basic:
             raise UniverseInconsistent("exact-i^* shortcut disagrees with the pushout route")
-        checks["istar_jshriek_shortcut"] = True
-    else:
-        checks["istar_jshriek_shortcut"] = None  # certificate false: check gated off
-
-    if not checks["pd_t2_within_bound"]:
-        raise UniverseInconsistent(f"pd of the glued module exceeds max(n1, n3) = {bound}")
     return GlueResult(
-        t2=t2, n2=n2, glued=glued, decomposition=decomposition, basic_names=basic, checks=checks
+        t2=t2, n2=n2, glued=glued, decomposition=decomposition, basic_names=basic
     )
 
 
@@ -346,11 +310,10 @@ def glue_cotilting(
     for name in glued.v2_names:
         if hgy.injdim(universe_b.module(name), cap=bound) is None:
             raise UniverseInconsistent(f"id bound max(n1+1, n3) fails at {name}")
-    checks = {"id_v2_within_bound": True}
     decomposition = Counter({name: 1 for name in glued.t2_names})
     return GlueResult(
         t2=t2, n2=n2, glued=glued, decomposition=decomposition,
-        basic_names=frozenset(glued.t2_names), checks=checks,
+        basic_names=frozenset(glued.t2_names),
     )
 
 

@@ -117,6 +117,8 @@ class PrimeField:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.shape[1] != b.shape[0]:
             raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
+        if not (a.size and b.size):
+            return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
         if a.shape[1] > self.max_inner:
             return self.blockwise_sum(a.shape[1], lambda s: a[:, s] @ b[s])
         out = a @ b
@@ -327,26 +329,3 @@ class PrimeField:
         if x is None:
             return None
         return x
-
-    def det(self, m: np.ndarray) -> int:
-        """Determinant mod p via Gaussian elimination."""
-        n, c = m.shape
-        if n != c:
-            raise ShapeMismatch(f"determinant needs a square matrix, got {m.shape}")
-        a = np.mod(np.array(m, dtype=np.int64), self.p)
-        det = 1
-        for col in range(n):
-            nz = np.nonzero(a[col:, col])[0]
-            if nz.size == 0:
-                return 0
-            pivot = col + int(nz[0])
-            if pivot != col:
-                a[[col, pivot]] = a[[pivot, col]]
-                det = (-det) % self.p
-            det = (det * int(a[col, col])) % self.p
-            inv = self.inv_scalar(a[col, col])
-            for row in range(col + 1, n):
-                if a[row, col]:
-                    factor = inv * int(a[row, col]) % self.p
-                    a[row] = np.mod(a[row] - factor * a[col], self.p)
-        return det

@@ -11,9 +11,10 @@ loudly where an invalid object would first exist; entries must have an
 integer dtype, and nothing is truncated or cast.  Morphisms a caller
 builds, factorizations, induced maps and approximation maps go through
 ``QMorphism``.  Three kinds are certified by construction (``QMorphism._certified``): hom
-bases, whose square equations are assembled by index scatter and
-certified as a whole by one product ``system @ K == 0`` (read-only
-blocks, as the hom memo shares them); derived arithmetic (zero maps,
+bases, whose square equations are built row by row on Python integers up
+to ``SMALL`` cells and by index scatter only above that, and certified as
+a whole by one product ``system @ K == 0`` (read-only blocks, as the hom
+memo shares them); derived arithmetic (zero maps,
 compose, add, scale, inverse, identity, dual, combinations of an End
 basis), which is closed on valid morphisms; and canonical maps whose
 squares are the equations that built them (sub-module inclusions, whose
@@ -687,8 +688,6 @@ def _block_products(field, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """
     n, t, m = left.shape
     k, _, s = right.shape
-    if not (n and t and m and k and s):
-        return np.zeros((t * s, n * k), dtype=np.int64)
     # rows (i, a) times columns (j, c)
     prod = field.matmul(left.reshape(n * t, m), right.transpose(1, 0, 2).reshape(m, k * s))
     return prod.reshape(n, t, k, s).transpose(1, 3, 0, 2).reshape(t * s, n * k)
@@ -944,13 +943,13 @@ def decompose(m: QModule) -> list[tuple[QModule, int]]:
 def indecomposable_iso(m: QModule, n: QModule) -> QMorphism | None:
     """Isomorphism witness between indecomposables, or None.
 
-    Sound for indecomposables: the witness is the first basis map f of
-    Hom(m, n) such that g o f is a unit of the local ring End(m) for some
-    g in a basis of Hom(n, m), and that holds exactly when f is an
-    isomorphism.  A unit g o f makes f injective, hence bijective, as the
-    dim vectors are equal; for an isomorphism f the maps g o f span
-    End(m), and a spanning set of a local ring holds a unit, since its
-    non-units form an ideal.  So Hom(n, m) is never built.
+    Sound for indecomposables: the witness is the first basis map of
+    Hom(m, n) that is an isomorphism.  If some phi: m -> n is one, then
+    f -> phi^-1 o f is a linear isomorphism Hom(m, n) -> End(m), so the
+    basis maps to a spanning set of End(m).  End(m) is local, so its
+    non-units form an ideal, a proper subspace, and a spanning set holds
+    a unit u; the basis map phi o u is then an isomorphism.  So Hom(n, m)
+    is never built.
     """
     if m.dim_vector() != n.dim_vector():
         return None

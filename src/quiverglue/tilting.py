@@ -17,11 +17,12 @@ raises UniverseInconsistent rather than picking a side.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import homology as hgy
 from .approx import CoresolutionWitness, in_T_covee, in_T_wedge
-from .errors import NotTilting, PreconditionFailed, UniverseInconsistent
+from .errors import NotTilting, UniverseInconsistent
 from .modcat import (
     QModule,
     Universe,
@@ -131,7 +132,6 @@ class CotorsionPairData:
     universe: Universe
     u_names: tuple[str, ...]
     v_names: tuple[str, ...]
-    hereditary: bool
     kind: tuple
 
     def u_modules(self) -> list[QModule]:
@@ -161,40 +161,34 @@ def verify_pair_axioms(
     universe: Universe,
     u_names: list[str],
     v_names: list[str],
-) -> dict:
-    """Re-verify the cotorsion-pair identities on the universe.
+) -> None:
+    """Certify the cotorsion-pair identities on the universe, or raise.
 
-    Checks Ext-orthogonality in degrees one and two, mutual
-    perpendicularity, and that projectives (resp. injectives) land in U
-    (resp. V).
+    Raises ``UniverseInconsistent`` naming the first identity that fails:
+    Ext-orthogonality in degrees one and two, V = U-perp and U = perp-V in
+    degree one, then projectives in U and injectives in V.
     """
     algebra = universe.algebra
     u_mods = [universe.module(n) for n in u_names]
     v_mods = [universe.module(n) for n in v_names]
-    ext1_ok = all(
-        hgy.ext(u, v, 1).dimension == 0 for u in u_mods for v in v_mods
-    )
-    v_from_u = _perp_in_universe(universe, u_mods, range(1, 2))
-    u_from_v = _perp_in_universe(universe, v_mods, range(1, 2), left=True)
-    checks = {
-        "ext1_vanishes": ext1_ok,
-        "v_is_u_perp": set(v_from_u) == set(v_names),
-        "u_is_perp_v": set(u_from_v) == set(u_names),
-    }
-    found = {}
-    for side, make in (("projective", projective), ("injective", injective)):
-        found[side] = set()
+    for i in (1, 2):
+        for (un, u), (vn, v) in itertools.product(zip(u_names, u_mods), zip(v_names, v_mods)):
+            if hgy.ext(u, v, i).dimension:
+                raise UniverseInconsistent(f"Ext^{i}(U, V) = 0 fails at ({un}, {vn})")
+    if set(_perp_in_universe(universe, u_mods, range(1, 2))) != set(v_names):
+        raise UniverseInconsistent("V = U-perp fails")
+    if set(_perp_in_universe(universe, v_mods, range(1, 2), left=True)) != set(u_names):
+        raise UniverseInconsistent("U = perp-V fails")
+    for side, make, letter, names in (
+        ("projective", projective, "U", u_names),
+        ("injective", injective, "V", v_names),
+    ):
         for v in algebra.quiver.vertices:
             name = universe.find_member(make(algebra, v))
             if name is None:
                 raise UniverseInconsistent(f"{side} at {v} missing from the universe")
-            found[side].add(name)
-    checks["projectives_in_u"] = found["projective"] <= set(u_names)
-    checks["injectives_in_v"] = found["injective"] <= set(v_names)
-    checks["ext2_vanishes"] = all(
-        hgy.ext(u, v, 2).dimension == 0 for u in u_mods for v in v_mods
-    )
-    return checks
+            if name not in names:
+                raise UniverseInconsistent(f"{side}s in {letter} fails: {name} at {v} is not in {letter}")
 
 
 def _pair_from_verified(t: QModule, n: int, universe: Universe, kind: str) -> CotorsionPairData:
@@ -216,14 +210,11 @@ def _pair_from_verified(t: QModule, n: int, universe: Universe, kind: str) -> Co
             f"perp route {sorted(other)} disagrees with {route} route {sorted(witnessed)}"
         )
     u_names, v_names = (other, own) if tilting else (own, other)
-    checks = verify_pair_axioms(universe, u_names, v_names)
-    if not all(checks.values()):
-        raise UniverseInconsistent(f"pair axioms failed: {checks}")
+    verify_pair_axioms(universe, u_names, v_names)
     return CotorsionPairData(
         universe=universe,
         u_names=tuple(u_names),
         v_names=tuple(v_names),
-        hereditary=True,
         kind=(kind, t, n),
     )
 
@@ -250,9 +241,12 @@ class TiltingPairDecision:
 
 
 def is_tilting_cotorsion_pair(pair: CotorsionPairData, cap: int = 8) -> TiltingPairDecision:
-    """Recognition: a hereditary pair is tilting iff pd of U is finite."""
-    if not pair.hereditary:
-        raise PreconditionFailed("recognition requires a hereditary pair")
+    """Recognition: a hereditary pair is tilting iff pd of U is finite.
+
+    The pair is certified first (``verify_pair_axioms``), so a pair that is
+    not a cotorsion pair with Ext^2(U, V) = 0 raises ``UniverseInconsistent``.
+    """
+    verify_pair_axioms(pair.universe, list(pair.u_names), list(pair.v_names))
     pds = {}
     for name in pair.u_names:
         d = hgy.pd(pair.universe.module(name), cap=cap)

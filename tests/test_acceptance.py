@@ -13,7 +13,7 @@ import pytest
 
 from quiverglue import homology as hgy
 from quiverglue import modcat
-from quiverglue.approx import in_add
+from quiverglue.approx import in_add, special_precover_universe, special_preenvelope_universe
 from quiverglue.bundled import data_path, load_workspace
 from quiverglue.cli import main as cli_main
 from quiverglue.glue import dual_glue_cross_check, glue_cotilting, glue_tilting, k_construction
@@ -182,20 +182,23 @@ def test_criterion_6_recollement_identities(rec, univ_a, univ_c, univ_b):
 def test_criterion_7_cotorsion_gluing_properties(workspace, tilt_result, cotilt_result, rec):
     for result in (tilt_result, cotilt_result):
         glued = result.glued
-        # both approximation sequences were produced and certified per member
-        assert glued.checks.get("approximations") is True
-        for u in glued.u2_modules():
-            for v in glued.v2_modules():
+        u2, v2 = glued.u2_modules(), glued.v2_modules()
+        for u in u2:
+            for v in v2:
                 assert hgy.ext(u, v, 1).dimension == 0
                 assert hgy.ext(u, v, 2).dimension == 0
-        assert glued.hereditary
+        # every member outside a class has a certified special approximation by it
+        for name, x in glued.universe.members:
+            if name not in glued.u2_names:
+                assert special_precover_universe(x, u2, v2).proj.target is x
+            if name not in glued.v2_names:
+                assert special_preenvelope_universe(x, u2, v2).incl.source is x
     # diagram-star membership for every c-side tilting summand
     _, _, _, t3, _, _ = workspace.example_inputs("5-2")
-    pair_a = tilt_result.glued.pair_a
     core = set(tilt_result.glued.t2_names)
     for rep, _ in decompose(t3):
-        kc = k_construction(rec, rep, pair_a, glued=tilt_result.glued)
-        assert kc.member_names is not None and set(kc.member_names) <= core
+        kc = k_construction(tilt_result.glued, rep)
+        assert set(kc.member_names) <= core
     report(7, "glued pairs hereditary-orthogonal with certified approximations; K lands in the core")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
@@ -28,7 +29,6 @@ from quiverglue.modcat import (
     simple,
 )
 from quiverglue.recollement import build_recollement
-from quiverglue.tilting import cotorsion_pair_from_cotilting
 
 EXPECTED_5_2 = {"(S(2)|0)", "(S(2)|P(4))", "(P(1)|0)", "(P(1)|P(3))", "(S(1)|S(3))"}
 EXPECTED_5_1 = {"(0|P(5))", "(S(1)|0)", "(P(1)|P(3))", "(P(1)|P(4))", "(P(1)|0)"}
@@ -89,7 +89,6 @@ def test_glued_classes_membership(tilt_result):
         "(0|S(3))", "(S(2)|0)", "(P(1)|P(4))", "(S(1)|S(3))", "(P(1)|0)", "(0|P(4))",
     }
     assert set(glued.t2_names) == EXPECTED_5_2
-    assert glued.hereditary
 
 
 def test_glued_pair_orthogonality(tilt_result, univ_b):
@@ -110,25 +109,22 @@ def test_projectives_and_injectives_sit_correctly(tilt_result, rec, univ_b):
         assert univ_b.find_member(inj(rec.total, v)) in v2
 
 
-def test_k_construction_trivial_cases(rec, tilting_inputs, univ_a, tilt_result, lc):
-    t1, t3 = tilting_inputs
-    pair_a = tilt_result.glued.pair_a
+def test_k_construction_trivial_cases(rec, tilt_result, lc):
     # the a-side pair from T1 = the regular module has V1 = everything,
     # so every preenvelope is trivial and K = j_! T''
     for name in ("P(3)", "P(4)"):
         summand = projective(lc, name[2])
-        kc = k_construction(rec, summand, pair_a, glued=tilt_result.glued)
+        kc = k_construction(tilt_result.glued, summand)
         assert is_isomorphic(kc.k, rec.j_lower_shriek(summand)) is not None
     s3 = simple(lc, "3")
-    kc = k_construction(rec, s3, pair_a, glued=tilt_result.glued)
+    kc = k_construction(tilt_result.glued, s3)
     assert is_isomorphic(kc.k, rec.j_lower_shriek(s3)) is not None
 
 
 def test_k_construction_rows_verify(rec, tilting_inputs, tilt_result, lc):
     _, t3 = tilting_inputs
-    pair_a = tilt_result.glued.pair_a
     for rep, _ in decompose(t3):
-        kc = k_construction(rec, rep, pair_a, glued=tilt_result.glued)
+        kc = k_construction(tilt_result.glued, rep)
         kc.row_upper.verify()
         kc.row_left.verify()
         # upper row: 0 -> j_! T'' -> K -> i_* U -> 0
@@ -136,15 +132,19 @@ def test_k_construction_rows_verify(rec, tilting_inputs, tilt_result, lc):
         # left row quotient is j_* T''
         assert kc.row_left.quot.dim_vector() == rec.j_star(rep).dim_vector()
         # K lands in the glued core
-        assert kc.member_names is not None
         assert set(kc.member_names) <= set(tilt_result.glued.t2_names)
 
 
-def test_k_construction_guards(rec, cotilting_inputs, univ_a, lc):
-    t1c, _ = cotilting_inputs
-    pair = cotorsion_pair_from_cotilting(t1c, 1, univ_a)
-    with pytest.raises(PreconditionFailed):
-        k_construction(rec, simple(lc, "3"), pair)
+def test_k_construction_guards(tilt_result, cotilt_result, la, lc):
+    # a cotilting glued pair has no a-side tilting module to take preenvelopes in
+    with pytest.raises(PreconditionFailed, match="a-side tilting"):
+        k_construction(cotilt_result.glued, simple(lc, "3"))
+    with pytest.raises(PreconditionFailed, match="c-side algebra"):
+        k_construction(tilt_result.glued, simple(la, "1"))
+    # K is certified against the glued core it is handed
+    no_core = dataclasses.replace(tilt_result.glued, t2_names=())
+    with pytest.raises(UniverseInconsistent, match="outside the glued core"):
+        k_construction(no_core, simple(lc, "3"))
 
 
 def test_trivial_gluing_gives_projectives(rec, univ_a, univ_c, univ_b, la, lc):
@@ -203,10 +203,22 @@ def test_constructive_route_equals_brute_force(tilt_result):
     assert tilt_result.basic_names == frozenset(tilt_result.glued.t2_names)
 
 
-def test_prop_2_9_gating(rec, tilt_result):
-    # i^* is not exact here, so the i_*/j_! shortcut check must be gated off
+def test_prop_2_9_gating(rec, tilting_inputs, univ_a, univ_c, univ_b, monkeypatch):
+    # i^* is not exact here, so the i_*/j_! shortcut check must be gated off:
+    # the glue decomposes each K and T2, but never i_* T1 (+) j_! T3
     assert rec.exactness["i_upper_star"] is False
-    assert tilt_result.checks["istar_jshriek_shortcut"] is None
+    t1, t3 = tilting_inputs
+    calls = []
+    original = Universe.decompose_names
+
+    def counting(self, m):
+        calls.append(m)
+        return original(self, m)
+
+    monkeypatch.setattr(Universe, "decompose_names", counting)
+    tilt_result = glue_tilting(rec, t1, 1, t3, 2, univ_a, univ_c, univ_b)
+    assert len(calls) == len(decompose(t3)) + 1
+    assert calls[-1] is tilt_result.t2
     # even so, for this example every core summand IS of the stated form
     la, lc = rec.a_algebra, rec.c_algebra
     images = [rec.i_star(projective(la, "1")), rec.i_star(simple(la, "2")),
@@ -347,7 +359,6 @@ def test_a7_glue_sweeps_only_non_members(a7_glue, monkeypatch, kinds):
     assert len(result.decomposition) == 7 and set(result.decomposition) <= set(univ_a7.names())
     assert result.n2 == 1
     glued = result.glued
-    assert glued.checks["approximations"]
     u2, v2 = set(glued.u2_names), set(glued.v2_names)
     assert len(calls["precover"]) == len(univ_a7) - len(u2)
     assert len(calls["preenvelope"]) == len(univ_a7) - len(v2)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from quiverglue import homology as hgy
 from quiverglue import approx, tilting
 from quiverglue.approx import in_T_covee, in_T_wedge
-from quiverglue.errors import NotTilting, PreconditionFailed, UniverseInconsistent
+from quiverglue.errors import NotTilting, UniverseInconsistent
 from quiverglue.modcat import (
     decompose,
     direct_sum,
@@ -17,6 +19,7 @@ from quiverglue.modcat import (
     simple,
 )
 from quiverglue.tilting import (
+    CotorsionPairData,
     cotorsion_pair_from_cotilting,
     cotorsion_pair_from_tilting,
     find_tilting_degree,
@@ -158,10 +161,23 @@ def test_hereditary_equivalences(t3_tilt, univ_c):
             assert pair.universe.find_member(rep) in v_names
 
 
+# a cotorsion pair on the bound A3 universe that is not hereditary: Ext^2(S(3), P(5)) != 0
+NON_HEREDITARY = ("P(3)", "P(4)", "P(5)", "S(3)")
+
+
 def test_pair_axiom_checker(univ_c, t3_tilt):
     pair = cotorsion_pair_from_tilting(t3_tilt, 2, univ_c)
-    checks = verify_pair_axioms(univ_c, list(pair.u_names), list(pair.v_names))
-    assert all(checks.values())
+    u, v = list(pair.u_names), list(pair.v_names)
+    assert verify_pair_axioms(univ_c, u, v) is None
+    # each failure names the first identity that fails
+    with pytest.raises(UniverseInconsistent, match=re.escape("Ext^1(U, V) = 0 fails at (S(3), S(4))")):
+        verify_pair_axioms(univ_c, v, u)
+    with pytest.raises(UniverseInconsistent, match=re.escape("Ext^2(U, V) = 0 fails at (S(3), P(5))")):
+        verify_pair_axioms(univ_c, list(NON_HEREDITARY), list(NON_HEREDITARY))
+    with pytest.raises(UniverseInconsistent, match="^V = U-perp fails"):
+        verify_pair_axioms(univ_c, u, v[1:])
+    with pytest.raises(UniverseInconsistent, match="^U = perp-V fails"):
+        verify_pair_axioms(univ_c, u[1:], v)
 
 
 def test_recognition_accepts_paper_pair(t3_tilt, univ_c):
@@ -180,16 +196,10 @@ def test_recognition_accepts_projective_pair(lc, univ_c):
     assert set(decision.t_names) == {"P(3)", "P(4)", "P(5)"}
 
 
-def test_recognition_guards_hereditary(univ_c, t3_tilt):
-    pair = cotorsion_pair_from_tilting(t3_tilt, 2, univ_c)
-    broken = type(pair)(
-        universe=pair.universe,
-        u_names=pair.u_names,
-        v_names=pair.v_names,
-        hereditary=False,
-        kind=("plain",),
-    )
-    with pytest.raises(PreconditionFailed):
+def test_recognition_rejects_a_pair_failing_the_axioms(univ_c):
+    # recognition holds only for hereditary cotorsion pairs, so it certifies the pair first
+    broken = CotorsionPairData(universe=univ_c, u_names=NON_HEREDITARY, v_names=NON_HEREDITARY, kind=("plain",))
+    with pytest.raises(UniverseInconsistent, match=re.escape("Ext^2(U, V) = 0 fails")):
         is_tilting_cotorsion_pair(broken)
 
 
