@@ -255,6 +255,7 @@ def glue_tilting(
     t2 = direct_sum(rec.total, parts)
 
     bound = max(n1, n3)
+    # axiom (P1) of verify_tilting(t2, n2) certifies pd T2 <= n2 <= bound
     n2 = _least_degree(verify_tilting, t2, bound)
     if n2 is None:
         raise UniverseInconsistent(f"glued module is not n-tilting for any n <= {bound}")
@@ -266,8 +267,6 @@ def glue_tilting(
             f"constructive class add({sorted(basic)}) differs from u2&v2 {sorted(glued.t2_names)}"
         )
 
-    if hgy.pd(t2, cap=bound) is None:
-        raise UniverseInconsistent(f"pd of the glued module exceeds max(n1, n3) = {bound}")
     if hgy.global_dimension(rec.a_algebra) is not None:
         cap_u = max(n1 + 1, n3)
         for name in glued.u2_names:

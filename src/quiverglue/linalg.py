@@ -3,7 +3,8 @@
 Matrices are plain numpy ``int64`` arrays whose entries are canonical
 representatives ``0..p-1``.  All routines are deterministic: elimination
 always picks the first nonzero pivot, so reduced forms, kernel bases and
-image bases depend only on the input, never on random draws.
+image bases depend only on the input, never on random draws;
+``irreducible_factors`` draws only from the generator it is given.
 
 Entries never overflow int64.  A product of two canonical entries is at
 most (p-1)**2, so ``PrimeField`` rejects every p with (p-1)**2 above
@@ -25,11 +26,16 @@ cleared with one rank-one update of the columns from the pivot on,
 a sparser one row by row.  Either way each entry takes one product of
 residues and is reduced before the next pivot, so it needs only the
 first bound.
+
+Polynomials (characteristic polynomials and their factors over F_p) are
+lists of Python integers, so their products never overflow at any
+admitted p.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import zip_longest
 
 import numpy as np
 
@@ -329,3 +335,159 @@ class PrimeField:
         if x is None:
             return None
         return x
+
+    # -- polynomials ---------------------------------------------------
+    # A polynomial is a list of residues (Python ints), lowest degree
+    # first, whose last entry is nonzero; [] is zero.
+
+    def charpoly(self, m: np.ndarray) -> list[int]:
+        """det(sI - m) for a square matrix: reduction to Hessenberg form by
+        similarities, then the recurrence over its leading blocks (Cohen,
+        A Course in Computational Algebraic Number Theory, Alg. 2.2.9)."""
+        p = self.p
+        n = m.shape[0]
+        h = np.mod(m, p).tolist()
+        for j in range(n - 2):
+            k = j + 1
+            pivot = next((i for i in range(k, n) if h[i][j]), None)
+            if pivot is None:
+                continue
+            if pivot != k:
+                h[pivot], h[k] = h[k], h[pivot]
+                for row in h:
+                    row[pivot], row[k] = row[k], row[pivot]
+            inv = pow(h[k][j], -1, p)
+            for i in range(k + 1, n):
+                u = h[i][j] * inv % p
+                if u:
+                    # row i minus u times row k, then column k plus u times column i
+                    h[i] = [(x - u * y) % p for x, y in zip(h[i], h[k])]
+                    for row in h:
+                        row[k] = (row[k] + u * row[i]) % p
+        # chis[k]: the characteristic polynomial of the leading k x k block
+        chis = [[1]]
+        for k in range(n):
+            chi = self.poly_mul([-h[k][k] % p, 1], chis[k])
+            t = 1
+            for i in range(1, k + 1):
+                t = t * h[k - i + 1][k - i] % p
+                c = h[k - i][k] * t % p
+                if c:
+                    chi = self._poly_sub(chi, [c * x % p for x in chis[k - i]])
+            chis.append(chi)
+        return chis[n]
+
+    def _poly_sub(self, f: list[int], g: list[int]) -> list[int]:
+        out = [(x - y) % self.p for x, y in zip_longest(f, g, fillvalue=0)]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def poly_mul(self, f: list[int], g: list[int]) -> list[int]:
+        if not (f and g):
+            return []
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            if x:
+                for j, y in enumerate(g):
+                    out[i + j] += x * y
+        return [c % self.p for c in out]
+
+    def poly_divmod(self, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+        """Quotient and remainder of f by a nonzero g.
+
+        The remainder accumulates as Python integers and is reduced once.
+        """
+        p, n = self.p, len(g) - 1
+        rest = list(f)
+        inv = pow(g[-1], -1, p)
+        quotient = [0] * max(len(f) - n, 0)
+        for k in range(len(quotient) - 1, -1, -1):
+            c = quotient[k] = rest[k + n] * inv % p
+            if c:
+                for i in range(n):
+                    rest[k + i] -= c * g[i]
+        rest = [x % p for x in rest[:n]]
+        while rest and not rest[-1]:
+            rest.pop()
+        return quotient, rest
+
+    def poly_gcd(self, f: list[int], g: list[int]) -> list[int]:
+        """The monic greatest common divisor; [] when both are zero."""
+        while g:
+            f, g = g, self.poly_divmod(f, g)[1]
+        if not f:
+            return []
+        inv = pow(f[-1], -1, self.p)
+        return [c * inv % self.p for c in f]
+
+    def _poly_powmod(self, f: list[int], e: int, g: list[int]) -> list[int]:
+        """f^e modulo g, by square and multiply."""
+        result, base = self.poly_divmod([1], g)[1], self.poly_divmod(f, g)[1]
+        while e:
+            if e & 1:
+                result = self.poly_divmod(self.poly_mul(result, base), g)[1]
+            base = self.poly_divmod(self.poly_mul(base, base), g)[1]
+            e >>= 1
+        return result
+
+    def poly_at(self, f: list[int], m: np.ndarray) -> np.ndarray:
+        """f(m) for a square matrix, by Horner's rule."""
+        n = m.shape[0]
+        diagonal = np.diag_indices(n)
+        out = self.scale(f[-1], self.identity(n)) if f else self.zeros(n, n)
+        for c in reversed(f[:-1]):
+            out = self.matmul(out, m)
+            out[diagonal] = np.mod(out[diagonal] + c, self.p)
+        return out
+
+    def irreducible_factors(self, f: list[int], rng: np.random.Generator) -> list[list[int]]:
+        """The distinct monic irreducible factors of a polynomial f of degree below p.
+
+        Squarefree part f / gcd(f, f'), which needs deg f < p; then
+        distinct-degree factorization by gcd(g, x^(p^d) - x); then
+        Cantor-Zassenhaus on each product of equal-degree factors,
+        which splits it by gcd(g, r^((p^d - 1)/2) - 1) for random r
+        of degree below deg g drawn from ``rng``.  No step runs over
+        the p residues.  Sorted by degree, then by coefficients.
+        """
+        p = self.p
+        if len(f) - 1 >= p:
+            raise PreconditionFailed(f"squarefree part of a degree-{len(f) - 1} polynomial needs p above it")
+        if len(f) < 2:
+            return []
+        derivative = [i * c % p for i, c in enumerate(f)][1:]
+        g = self.poly_divmod(f, self.poly_gcd(f, derivative))[0]
+        g = self.poly_divmod(g, [g[-1]])[0]
+        parts, frobenius, d = [], [0, 1], 0
+        while len(g) - 1 >= 2 * (d + 1):
+            d += 1
+            frobenius = self._poly_powmod(frobenius, p, g)
+            u = self.poly_gcd(g, self._poly_sub(frobenius, [0, 1]))
+            if len(u) > 1:
+                parts.append((d, u))
+                g = self.poly_divmod(g, u)[0]
+                frobenius = self.poly_divmod(frobenius, g)[1]
+        if len(g) > 1:
+            parts.append((len(g) - 1, g))
+        factors = []
+        for d, u in parts:
+            factors += self._equal_degree_factors(u, d, rng)
+        return sorted(factors, key=lambda h: (len(h), h))
+
+    def _equal_degree_factors(self, g: list[int], d: int, rng: np.random.Generator) -> list[list[int]]:
+        """The irreducible factors of a monic squarefree g whose factors all have degree d."""
+        p = self.p
+        factors = [g]
+        for _ in range(4096):
+            if len(factors) * d == len(g) - 1:
+                return factors
+            # g has degree 2 or more, below p, so p is odd
+            r = [int(c) for c in rng.integers(0, p, size=len(g) - 1)]
+            w = self._poly_sub(self._poly_powmod(r, (p**d - 1) // 2, g), [1])
+            split = []
+            for h in factors:
+                u = self.poly_gcd(h, w) if len(h) - 1 > d else h
+                split += [h] if len(u) in (1, len(h)) else [u, self.poly_divmod(h, u)[0]]
+            factors = split
+        raise RuntimeError("no random polynomial split the equal-degree factors; raise the trial bound")

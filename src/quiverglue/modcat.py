@@ -15,13 +15,12 @@ bases, whose square equations are built row by row on Python integers up
 to ``SMALL`` cells and by index scatter only above that, and certified as
 a whole by one product ``system @ K == 0`` (read-only blocks, as the hom
 memo shares them); derived arithmetic (zero maps,
-compose, add, scale, inverse, identity, dual, combinations of an End
-basis), which is closed on valid morphisms; and canonical maps whose
-squares are the equations that built them (sub-module inclusions, whose
-arrow maps are solved from those squares, quotient projections, whose
-squares are the well-definedness check, split projections, solved
-against an injective inclusion, and the coordinate copies into and out
-of a direct sum).
+compose, add, scale, inverse, identity, dual), which is closed on valid
+morphisms; and canonical maps whose squares are the equations that
+built them (sub-module inclusions, whose arrow maps are solved from
+those squares, quotient projections, whose squares are the
+well-definedness check, split projections along submodules that fill
+the module, and the coordinate copies into and out of a direct sum).
 
 The modules that ``kernel``, ``image`` and ``cokernel`` build are shared:
 ``submodule_from_bases`` and ``quotient_by_images`` return the algebra's
@@ -39,32 +38,35 @@ term, and a sum splits through its summands' own certified splits and
 its canonical maps, without End(sum).  Modules built directly with
 ``QModule`` are never shared.
 
-Decomposition into indecomposables works through the endomorphism
-algebra: the radical is the kernel of the trace form (valid because the
-field characteristic exceeds the total dimension), and m is
-indecomposable exactly when S = End(m)/rad is a field, that is when S is
-commutative and Frobenius z -> z^p fixes only its scalars.  Otherwise m
-splits as e_1(m) + ... + e_k(m) along all primitive idempotents e_i of a
-commutative subalgebra F_p[a] at once: the Frobenius-fixed space of
-F_p[a] is spanned by them, and Cantor-Zassenhaus separates them with
-powers (b + s)^((p-1)/2), so no step evaluates anything at all p
-residues.  Each piece is split again until it is certified.  The element
-a lifts a non-scalar Frobenius-fixed element of S when S is commutative;
-only a non-commutative S falls back to a search for a over one fixed
-pseudo-random sequence.  Decomposition is deterministic, and by
-Krull-Schmidt its multiset of summands could not depend on the sequence.
+Decomposition into indecomposables cuts a module along the generalized
+eigenspaces of one endomorphism.  A splitting step first solves for the
+End basis and stops when it has one element (End(m) = F_p).  Otherwise
+it draws a = sum c_i b_i from one fixed pseudo-random sequence and
+factors the characteristic polynomials of the blocks a_v over F_p
+(``PrimeField.irreducible_factors``: squarefree part, distinct-degree,
+then equal-degree factorization, on Python integers, with no step over
+all p residues).  Each irreducible factor f gives the submodule with
+spaces ker f(a_v)^e_v, e_v the multiplicity of f at v: the image of the
+primitive idempotent of F_p[a] that belongs to f, so one step cuts along
+all of them at once.  The certificate is the split itself:
+``submodule_from_bases`` refuses a span that an arrow leaves, and at each
+vertex the eigenspace bases must fill M_v; the rows of their inverse are
+the projections.  Each piece is split again until it is certified.
 
-A splitting step first solves for the End basis and stops when it has
-one element (End(m) = F_p).  Only a larger End(M) is built, once per
-step, as a certified table of structure constants T[k, i, j] (the
-b_k-coordinate of b_i o b_j): the products at the basis matrix's pivot
-rows give the coordinates, and each vertex's products, formed in one
-contraction, are certified against them by mapping the coordinates back.
-The trace form, commutators, powers and idempotents are then computed on
-coordinates.  A morphism is built only where one leaves the algebra: the
-idempotents a split runs along, certified orthogonal and summing to one,
-whose images and projections are solved.  The End basis
-is not memoized: it serves one step.
+A draw that leaves m whole (one factor) does not make m indecomposable:
+a non-scalar element of a local End(m) and an unlucky element of a
+matrix algebra look alike.  So only then is End(m) built, as a certified
+table of structure constants T[k, i, j] (the b_k-coordinate of b_i o
+b_j): the products at the basis matrix's pivot rows give the
+coordinates, and each vertex's products, formed in one contraction, are
+certified against them by mapping the coordinates back.  The radical is
+the kernel of the trace form (valid because the field characteristic
+exceeds the total dimension), and m is indecomposable exactly when
+S = End(m)/rad is a field, that is when S is F_p, or commutative with
+Frobenius z -> z^p fixing only its scalars.  Otherwise the draws go on.
+Decomposition is deterministic, and by Krull-Schmidt its multiset of
+summands could not depend on the sequence.  The End basis is not
+memoized: it serves one step.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from .errors import (
 )
 from .linalg import SMALL
 
-# start of the fixed sequence that the non-commutative search draws from
+# start of the fixed sequence that every splitting step draws its element from
 _SPLIT_SEED = 0xC0FFEE
 
 
@@ -296,14 +298,21 @@ def _hom_basis_compute(source: QModule, target: QModule) -> tuple[QMorphism, ...
     -M_a[l, j].  A system of at most ``SMALL`` cells is built row by row
     on Python integers and reduced there (``_hom_kernel_rows``), a larger
     one by index scatter into an int64 array (``_hom_kernel_scatter``);
-    both give the same K.  The basis blocks are read-only views of K,
-    since the hom memo shares them.
+    both give the same K.  A system with no equation (no arrow runs from
+    a vertex where the source is nonzero to one where the target is) is
+    not eliminated: K is the identity, and the product would certify
+    nothing.  The basis blocks are read-only views of K, since the hom
+    memo shares them.
     """
     offsets, total = _hom_layout(source, target)
     if total == 0:
         return ()
     rows = sum(target.dims[a.target] * source.dims[a.source] for a in source.algebra.quiver.arrows)
-    vecs = (_hom_kernel_rows if rows * total <= SMALL else _hom_kernel_scatter)(source, target)
+    if not rows:
+        # no arrow gives an equation, so every block is free: K is the identity
+        vecs = source.algebra.field.identity(total)
+    else:
+        vecs = (_hom_kernel_rows if rows * total <= SMALL else _hom_kernel_scatter)(source, target)
     vecs.setflags(write=False)
     shapes = {v: (target.dims[v], source.dims[v]) for v in offsets}
 
@@ -731,15 +740,6 @@ class _EndData:
             raise RuntimeError("endomorphism outside End basis span")
         return c
 
-    def from_coords(self, c: np.ndarray) -> QMorphism:
-        """The endomorphism with coordinates ``c``: a combination of the certified basis."""
-        n = len(self.basis)
-        blocks = {
-            v: self.field.matmul(c.reshape(1, n), s.reshape(n, -1)).reshape(s.shape[1:])
-            for v, s in self.stacks.items()
-        }
-        return QMorphism._certified(self.module, self.module, blocks)
-
     @cached_property
     def gram(self) -> np.ndarray:
         """The trace form tr(b_i o b_j); its kernel is the radical."""
@@ -834,96 +834,101 @@ def _split_summands_compute(m: QModule) -> tuple[tuple[QModule, QMorphism, QMorp
 def _split_module_once(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]] | None:
     """One splitting step; None certifies that m is indecomposable.
 
-    m is indecomposable exactly when S = End(m)/rad is a field, that is
-    when S is commutative and Frobenius fixes only its scalars.
+    Draws a = sum c_i b_i over the End basis from the sequence that
+    ``_SPLIT_SEED`` starts and cuts m into the generalized eigenspaces of
+    a, one per irreducible factor of its characteristic polynomials.  Only
+    a module that the first draw leaves whole builds End(m)'s structure
+    constants, to certify that S = End(m)/rad is a field; if it is not, m
+    is decomposable and the draws go on.
     """
     field = m.algebra.field
     basis = _hom_basis_compute(m, m)
     n = len(basis)
     if n == 1:  # End(m) is the field itself
         return None
-    end = _EndData(m, basis)
-    # the basis elements at the pivots of the trace form lift a basis of S
-    _, pivots, s_dim = field.rref(end.gram)
-    if s_dim == 1:
-        return None
-    lifts = field.identity(n)[:, pivots]
-    products = end.table[:, pivots][:, :, pivots]
-    commutators = field.sub(products, products.transpose(0, 2, 1)).reshape(n, s_dim * s_dim)
-    if not np.any(field.matmul(end.gram, commutators)):
-        # S is commutative, so x -> x^p is F_p-linear on it (Berlekamp)
-        frobenius = field.sub(end.power(lifts, field.p), lifts)
-        fixed = field.matmul(lifts, field.kernel_basis(field.matmul(end.gram, frobenius)))
-        if fixed.shape[1] == 1:
+    stacks = _stacks(m, m, basis)
+    rng = np.random.default_rng(_SPLIT_SEED)
+    for draw in range(4096):
+        coeffs = rng.integers(0, field.p, size=(1, n))
+        a = {v: field.matmul(coeffs, s.reshape(n, -1)).reshape(s.shape[1:]) for v, s in stacks.items()}
+        components = _primary_components(field, a, rng)
+        if len(components) > 1:
+            return _split_into(m, components)
+        if not draw and _residue_algebra_is_a_field(m, basis):
             return None
-        # lifts of a basis of the fixed space: a non-scalar one splits m
-        candidates = fixed.T
-    else:
-        # S is not a field, so m splits: search for an a with F_p[a] not local
-        rng = np.random.default_rng(_SPLIT_SEED)
-        candidates = (rng.integers(0, field.p, size=n) for _ in range(4096))
-    for a in candidates:
-        split = _split_along(end, a)
-        if split is not None:
-            return split
     raise RuntimeError("no splitting element found; raise the trial bound")
 
 
-def _split_along(end: _EndData, a: np.ndarray) -> list[tuple[QModule, QMorphism, QMorphism]] | None:
-    """m = e_1(m) + ... + e_k(m) along the primitive idempotents of C = F_p[a]; None if C is local.
+def _primary_components(field, a: dict[str, np.ndarray], rng: np.random.Generator) -> list[dict[str, np.ndarray]]:
+    """Per irreducible factor f of the characteristic polynomials chi_v of a, the bases of ker f(a_v)^e_v.
 
-    Frobenius is F_p-linear on the commutative algebra C, and its fixed
-    space is spanned by the k primitive idempotents e_i of C, exactly in
-    End(m).  Cantor-Zassenhaus refines {1} into them: for a fixed
-    b = sum l_i e_i and a shift s, w = (b + s)^((p-1)/2) = sum chi(l_i + s) e_i,
-    and e = (w^2 + w)/2 sums the e_i with l_i + s a nonzero square; every
-    block f is cut into f e and f - f e.  Each shift powers the non-scalar
-    fixed columns at once, and for p >= 3 some shift in range(p) separates
-    each pair of idempotents, so the refinement stops at k blocks.
+    e_v is the multiplicity of f in chi_v, so ker f(a_v)^e_v is the
+    generalized eigenspace of a_v for f: the image at v of the primitive
+    idempotent of F_p[a] that belongs to f.  The factors are those of the
+    squarefree part of the product of the chi_v, of degree dim m < p.
     """
-    field, one = end.field, end.one.reshape(-1, 1)
-    a = a.reshape(-1, 1)
-    krylov, power = one, a
-    while field.rank(np.hstack([krylov, power])) > krylov.shape[1]:
-        krylov = np.hstack([krylov, power])
-        power = end.mul(power, a)
-    fixed = field.matmul(krylov, field.kernel_basis(field.sub(end.power(krylov, field.p), krylov)))
-    if fixed.shape[1] == 1:  # only the scalars: C is local
-        return None
-    # fixed[:, 0] is the identity (krylov starts at it, and 1^p - 1 = 0), which no shift splits
-    half, blocks = field.inv_scalar(2), one
-    for s in range(field.p):
-        w = end.power(field.add(fixed[:, 1:], s * one), (field.p - 1) // 2)
-        for e in field.scale(half, field.add(end.mul(w, w), w)).T:
-            cut = end.mul(blocks, np.repeat(e.reshape(-1, 1), blocks.shape[1], axis=1))
-            parts = np.hstack([cut, field.sub(blocks, cut)])
-            blocks = parts[:, np.any(parts, axis=0)]
-        if blocks.shape[1] == fixed.shape[1]:
-            break
-    else:
-        raise RuntimeError("no shift separates the idempotents")
-    _certify_idempotents(end, blocks)
-    pieces = []
-    for idempotent in blocks.T:
-        f = end.from_coords(idempotent)
-        piece, incl = image(f)
-        # f is the identity on its image, so f = incl o proj; proj commutes with
-        # the arrows because f does and incl is injective
-        proj = {v: field.solve_matrix(incl.blocks[v], f.blocks[v]) for v in f.blocks}
-        pieces.append((piece, incl, QMorphism._certified(end.module, piece, proj)))
-    return pieces
+    charpolys = {v: field.charpoly(block) for v, block in a.items()}
+    product = [1]
+    for chi in charpolys.values():
+        product = field.poly_mul(product, chi)
+    components = []
+    for f in field.irreducible_factors(product, rng):
+        bases = {}
+        for v, chi in charpolys.items():
+            power = [1]
+            quotient, rest = field.poly_divmod(chi, f)
+            while not rest:
+                chi, power = quotient, field.poly_mul(power, f)
+                quotient, rest = field.poly_divmod(chi, f)
+            bases[v] = field.kernel_basis(field.poly_at(power, a[v])) if len(power) > 1 else field.zeros(len(a[v]), 0)
+        components.append(bases)
+    return components
 
 
-def _certify_idempotents(end: _EndData, blocks: np.ndarray) -> None:
-    """Raise unless the columns of ``blocks`` are orthogonal idempotents that sum to one."""
-    i, j = np.triu_indices(blocks.shape[1])
-    products = end.mul(blocks[:, i], blocks[:, j])
-    if not np.array_equal(products[:, i == j], blocks):
-        raise RuntimeError("a split block is not idempotent")
-    if np.any(products[:, i != j]):
-        raise RuntimeError("split blocks are not orthogonal")
-    if not np.array_equal(np.mod(blocks.sum(axis=1), end.field.p), end.one):
-        raise RuntimeError("split blocks do not sum to one")
+def _split_into(m: QModule, components: list[dict[str, np.ndarray]]) -> list[tuple[QModule, QMorphism, QMorphism]]:
+    """m as the sum of the submodules that ``components`` span, with inclusions and projections.
+
+    ``submodule_from_bases`` refuses a span that an arrow leaves.  At each
+    vertex the bases side by side must fill M_v; the rows of their
+    inverse are the projections along the other components.  Each
+    projection then commutes with the arrows, since every component is
+    a submodule, so it is canonical.
+    """
+    field = m.algebra.field
+    subs = [submodule_from_bases(m, bases) for bases in components]
+    projections: list[dict[str, np.ndarray]] = [{} for _ in components]
+    for v in m.algebra.quiver.vertices:
+        together = np.hstack([bases[v] for bases in components])
+        inverse = field.inverse(together) if together.shape[1] == m.dims[v] else None
+        if inverse is None:
+            raise RuntimeError(f"eigenspaces do not fill the space at vertex {v}")
+        start = 0
+        for proj, bases in zip(projections, components):
+            proj[v], start = inverse[start : start + bases[v].shape[1]], start + bases[v].shape[1]
+    return [(piece, incl, QMorphism._certified(m, piece, proj)) for (piece, incl), proj in zip(subs, projections)]
+
+
+def _residue_algebra_is_a_field(m: QModule, basis: tuple[QMorphism, ...]) -> bool:
+    """Whether S = End(m)/rad is a field, which certifies m indecomposable.
+
+    The radical is the kernel of the trace form, and the basis elements
+    at the form's pivots lift a basis of S.  S is a field when it is F_p,
+    or when it is commutative and Frobenius z -> z^p, which is then
+    F_p-linear on it (Berlekamp), fixes only its scalars.
+    """
+    field = m.algebra.field
+    end = _EndData(m, basis)
+    _, pivots, s_dim = field.rref(end.gram)
+    if s_dim == 1:
+        return True
+    n = len(basis)
+    lifts = field.identity(n)[:, pivots]
+    products = end.table[:, pivots][:, :, pivots]
+    commutators = field.sub(products, products.transpose(0, 2, 1)).reshape(n, s_dim * s_dim)
+    if np.any(field.matmul(end.gram, commutators)):
+        return False
+    frobenius = field.sub(end.power(lifts, field.p), lifts)
+    return field.kernel_basis(field.matmul(end.gram, frobenius)).shape[1] == 1
 
 
 def decompose(m: QModule) -> list[tuple[QModule, int]]:

@@ -281,3 +281,106 @@ def test_elimination_equals_gauss_jordan_over_python_ints(case):
     assert ((0 <= kernel) & (kernel < p)).all()
     kernel_np = field._kernel_numpy(m)
     assert kernel.dtype == kernel_np.dtype and kernel.flags.c_contiguous and kernel.tobytes() == kernel_np.tobytes()
+
+
+# -- polynomials: characteristic polynomials and their factors ------------------
+
+
+def det_by_elimination(rows, p):
+    """The determinant of a square list of residues, by Gaussian elimination on Python integers."""
+    rows, det = [list(r) for r in rows], 1
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot], det = rows[pivot], rows[c], -det
+        det = det * rows[c][c] % p
+        inv = pow(rows[c][c], -1, p)
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] * inv % p
+            rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[c])]
+    return det % p
+
+
+@st.composite
+def square_matrices(draw):
+    """A prime and a square matrix of size 0-7, dense or with many zeros (pivot searches and swaps)."""
+    p = draw(st.sampled_from([2, 3, 101, 32003, 3037000493]))
+    n = draw(st.integers(0, 7))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, p, size=(n, n))
+    if draw(st.booleans()):
+        m[rng.random((n, n)) < 0.6] = 0
+    return p, m
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(square_matrices())
+@example((3037000493, np.full((5, 5), 3037000492, dtype=np.int64)))
+@example((101, np.zeros((4, 4), dtype=np.int64)))
+def test_charpoly_is_the_determinant_of_s_minus_a(case):
+    p, m = case
+    field = PrimeField(p)
+    chi = field.charpoly(m)
+    n = m.shape[0]
+    assert len(chi) == n + 1 and chi[-1] == 1
+    for s in {0, 1, 2 % p, p - 1, 12345 % p}:
+        s_minus_m = [[(s * (i == j) - int(m[i, j])) % p for j in range(n)] for i in range(n)]
+        assert sum(c * pow(s, k, p) for k, c in enumerate(chi)) % p == det_by_elimination(s_minus_m, p)
+    # Cayley-Hamilton
+    assert not field.poly_at(chi, m).any()
+
+
+@st.composite
+def factored_polynomials(draw):
+    """A prime and a monic product of random monic polynomials of degree 1-3, some repeated."""
+    p = draw(st.sampled_from([101, 32003, 3037000493]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    f = [1]
+    field = PrimeField(p)
+    for _ in range(draw(st.integers(1, 4))):
+        g = [int(c) for c in rng.integers(0, p, size=int(rng.integers(1, 4)))] + [1]
+        for _ in range(draw(st.integers(1, 3))):
+            f = field.poly_mul(f, g)
+    return p, f
+
+
+def multiplicity(field, f, g):
+    count, (quotient, rest) = 0, field.poly_divmod(f, g)
+    while not rest:
+        count, f = count + 1, quotient
+        quotient, rest = field.poly_divmod(f, g)
+    return count
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(factored_polynomials(), st.integers(0, 2**16))
+@example((101, [0, 0, 1]), 0)
+@example((101, [100, 0, 1]), 0)
+@example((101, [1, 0, 1]), 0)
+def test_irreducible_factors_multiply_back_and_are_irreducible(case, seed):
+    p, f = case
+    field = PrimeField(p)
+    factors = field.irreducible_factors(f, np.random.default_rng(seed))
+    assert len({tuple(h) for h in factors}) == len(factors)
+    product = [1]
+    for h in factors:
+        assert h[-1] == 1 and len(h) > 1
+        for _ in range(multiplicity(field, f, h)):
+            product = field.poly_mul(product, h)
+    assert product == f
+    for i, h in enumerate(factors):
+        for g in factors[i + 1 :]:
+            assert field.poly_gcd(h, g) == [1]
+        if p == 101 and len(h) - 1 in (2, 3):
+            # a polynomial of degree 2 or 3 is irreducible exactly when it has no root
+            assert all(sum(c * pow(x, k, p) for k, c in enumerate(h)) % p for x in range(p))
+
+
+def test_irreducible_factors_need_the_degree_below_p():
+    field = PrimeField(3)
+    assert field.irreducible_factors([1, 0, 1], np.random.default_rng(0)) == [[1, 0, 1]]
+    with pytest.raises(PreconditionFailed, match="needs p above"):
+        field.irreducible_factors([0, 0, 0, 1], np.random.default_rng(0))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -266,8 +267,9 @@ def test_a_fingerprint_collision_is_caught_on_the_hit(kronecker_modules, monkeyp
     assert zero_kernel(a) is zero_kernel(a)
 
 
-def test_decomposing_every_interval_builds_no_end_data(monkeypatch):
-    # End([i, j]) = F_p is certified from the hom basis alone; a fresh algebra keeps the split memo cold
+def test_decomposing_every_interval_builds_no_end_data(monkeypatch, kronecker_regular):
+    # End([i, j]) = F_p is certified from the hom basis alone, and a sum of two intervals splits on
+    # its first draw; a fresh algebra keeps the split memo cold
     built = []
 
     class CountingEndData(_EndData):
@@ -281,7 +283,11 @@ def test_decomposing_every_interval_builds_no_end_data(monkeypatch):
         assert len(decompose(m)) == 1
     assert not built
     assert len(decompose(a7_interval_sum([(0, 2), (1, 4)], seed=1))) == 2
-    assert built
+    assert not built
+    # End(U) = F_{p^2}: no draw splits U, so only the trace-form certificate can say it is indecomposable
+    u = unshared(kronecker_regular)
+    assert len(decompose(u)) == 1
+    assert built == [u]
 
 
 def test_direct_sum_and_iso(a2):
@@ -570,12 +576,12 @@ def test_end_table_matches_product_solves(end_modules):
             for j, bj in enumerate(end.basis):
                 ref = field.solve_matrix(end.vecs, bi.compose(bj).to_vector().reshape(-1, 1))
                 assert np.array_equal(end.table[:, i, j], ref[:, 0])
-        assert end.from_coords(end.one).to_vector().tolist() == identity_morphism(m).to_vector().tolist()
+        assert field.matmul(end.vecs, end.one.reshape(-1, 1))[:, 0].tolist() == identity_morphism(m).to_vector().tolist()
         # powers in coordinates agree with repeated composition
         c = np.arange(1, len(end.basis) + 1, dtype=np.int64).reshape(-1, 1)
-        f = end.from_coords(c)
-        cubed = end.from_coords(end.power(c, 3))
-        assert np.array_equal(cubed.to_vector(), f.compose(f).compose(f).to_vector())
+        f = basis_combination(end.basis, c[:, 0])
+        cubed = field.matmul(end.vecs, end.power(c, 3))[:, 0]
+        assert np.array_equal(cubed, f.compose(f).compose(f).to_vector())
 
 
 def test_end_radical_is_trace_form_kernel(end_modules):
@@ -659,12 +665,17 @@ def test_kronecker_with_a_simple_splits_through_the_commutative_branch(kronecker
     s1 = simple(u.algebra, "1")
     assert_summands(split_summands(unshared(direct_sum(u.algebra, [u, s1, u]))), [u, u, s1])
 
-    def no_search(seed):
-        raise AssertionError("the seeded search ran")
+    def no_certificate(*args):
+        raise AssertionError("End(M)'s structure constants were built")
 
-    # End/rad = F_{p^2} x F_p is commutative: Frobenius finds the split
-    monkeypatch.setattr(np.random, "default_rng", no_search)
-    assert_summands(split_summands(unshared(direct_sum(u.algebra, [s1, u]))), [u, s1])
+    # End/rad = F_{p^2} x F_p is commutative: the characteristic polynomial of the first draw has
+    # a quadratic factor from U and a linear one from S(1), so it splits with no certificate
+    monkeypatch.setattr(modcat, "_EndData", no_certificate)
+    m = unshared(direct_sum(u.algebra, [s1, u]))
+    pieces = modcat._split_module_once(m)
+    assert sorted(piece.dim_vector() for piece, _, _ in pieces) == [(1, 0), (2, 2)]
+    monkeypatch.undo()
+    assert_summands(split_summands(m), [u, s1])
 
 
 @kronecker_primes
@@ -735,41 +746,84 @@ def test_one_split_step_cuts_along_every_primitive_idempotent():
     assert np.array_equal(total.to_vector(), identity_morphism(m).to_vector())
 
 
-def test_a_corrupted_split_block_raises_the_named_certificate(monkeypatch):
-    m = a7_interval_sum([(0, 2), (0, 2), (1, 4), (3, 6), (2, 2)], seed=9)
-    seen, certify = [], modcat._certify_idempotents
-
-    def spy(end, blocks):
-        seen.append((end, blocks))
-        certify(end, blocks)
-
-    # the blocks of the first split step, as certified
-    monkeypatch.setattr(modcat, "_certify_idempotents", spy)
+def first_split_components(monkeypatch, m):
+    """The eigenspace bases of the first split step of m, and m's sum of five intervals over A7."""
+    seen, compute = [], modcat._primary_components
+    monkeypatch.setattr(modcat, "_primary_components", lambda *args: seen.append(compute(*args)) or seen[-1])
     split_summands(m)
-    end, blocks = seen[0]
-    assert blocks.shape[1] > 2
-    field = end.field
-    doubled = blocks.copy()
-    doubled[:, 0] = field.scale(2, doubled[:, 0])
-    merged = blocks.copy()
-    merged[:, 1] = field.add(blocks[:, 0], blocks[:, 1])
-    corrupted = ((doubled, "not idempotent"), (merged, "not orthogonal"), (blocks[:, 1:], "sum to one"))
-    for corrupt, named in corrupted:
-        with pytest.raises(RuntimeError, match=named):
-            modcat._certify_idempotents(end, corrupt)
-    # through a split: the certificate sees a corrupted block and the split raises
-    monkeypatch.setattr(modcat, "_certify_idempotents", lambda end, blocks: certify(end, field.scale(2, blocks)))
-    with pytest.raises(RuntimeError, match="not idempotent"):
+    monkeypatch.undo()
+    assert len(seen[0]) > 2
+    return seen[0]
+
+
+def corrupt_first_split(monkeypatch, corrupt):
+    """The first split step's eigenspace bases passed through ``corrupt`` before the split certifies them."""
+    compute = modcat._primary_components
+    monkeypatch.setattr(modcat, "_primary_components", lambda *args: corrupt(compute(*args)))
+
+
+def test_a_corrupted_split_block_raises_the_named_certificate(monkeypatch):
+    # vertex 1 of A7 is a source, so a component without one of its columns there is still a submodule
+    m = a7_interval_sum([(0, 2), (0, 2), (1, 4), (3, 6), (2, 2)], seed=9)
+    components = first_split_components(monkeypatch, m)
+    k = next(k for k, bases in enumerate(components) if bases["1"].shape[1])
+
+    def drop(components):
+        components[k] = dict(components[k], **{"1": components[k]["1"][:, 1:]})
+        return components
+
+    with pytest.raises(RuntimeError, match="do not fill the space at vertex 1"):
+        modcat._split_into(m, drop(list(components)))
+    # through a split: the certificate sees the short basis and the split raises
+    corrupt_first_split(monkeypatch, drop)
+    with pytest.raises(RuntimeError, match="do not fill"):
         split_summands(unshared(m))
 
 
-def test_idempotents_that_sum_to_one_must_still_be_orthogonal():
-    # over F_3 the identity four times is idempotent and sums to 4 = 1, but 1 o 1 != 0
-    quiver = Quiver(["1", "2"], [("d", "1", "2")])
-    end = _EndData(simple(build_algebra(quiver, [], field=PrimeField(3), name="a2"), "1"))
-    modcat._certify_idempotents(end, end.one.reshape(-1, 1))
-    with pytest.raises(RuntimeError, match="not orthogonal"):
-        modcat._certify_idempotents(end, np.repeat(end.one.reshape(-1, 1), 4, axis=1))
+def test_an_unstable_eigenspace_column_raises_the_submodule_error(monkeypatch):
+    # a column of one component at vertex 1 joins another: arrow a1 maps it outside that component
+    m = a7_interval_sum([(0, 2), (0, 2), (1, 4), (3, 6), (2, 2)], seed=9)
+    components = first_split_components(monkeypatch, m)
+    k = next(k for k, bases in enumerate(components) if bases["1"].shape[1])
+    other = (k + 1) % len(components)
+
+    def add(components):
+        column = components[k]["1"][:, :1]
+        components[other] = dict(components[other], **{"1": np.hstack([components[other]["1"], column])})
+        return components
+
+    with pytest.raises(ValueError, match="not stable under arrow a1"):
+        modcat._split_into(m, add(list(components)))
+    corrupt_first_split(monkeypatch, add)
+    with pytest.raises(ValueError, match="not stable"):
+        split_summands(unshared(m))
+
+
+def test_a_first_draw_that_does_not_split_reaches_the_trace_form_certificate(monkeypatch, kronecker_regular):
+    compute, certify = modcat._primary_components, modcat._residue_algebra_is_a_field
+    draws, verdicts = [], []
+
+    def whole_first(field, a, rng):
+        draws.append(a)
+        if len(draws) == 1:
+            return [{v: field.identity(len(block)) for v, block in a.items()}]
+        return compute(field, a, rng)
+
+    monkeypatch.setattr(modcat, "_primary_components", whole_first)
+    monkeypatch.setattr(modcat, "_residue_algebra_is_a_field", lambda *args: verdicts.append(certify(*args)) or verdicts[-1])
+    # a decomposable module fails the certificate, so the step draws again and splits
+    m = a7_interval_sum([(0, 2), (1, 4)], seed=1)
+    pieces = modcat._split_module_once(m)
+    assert verdicts == [False] and len(draws) == 2
+    assert sorted(piece.dim_vector() for piece, _, _ in pieces) == [(0, 1, 1, 1, 1, 0, 0), (1, 1, 1, 0, 0, 0, 0)]
+    # End(U) = F_{p^2} is a field: U is certified indecomposable after one draw
+    draws.clear()
+    verdicts.clear()
+    assert modcat._split_module_once(kronecker_regular) is None
+    assert verdicts == [True] and len(draws) == 1
+
+
+A7_INTERVALS = [(i, j) for i in range(7) for j in range(i, 7)]
 
 
 @st.composite
@@ -791,9 +845,71 @@ def test_decomposition_recovers_the_generated_intervals(parts, p, seed):
     assert sum(rep.total_dim * mult for rep, mult in groups) == m.total_dim
 
 
+def perfbench_oracles():
+    """The benchmark's answer checks, loaded from their file: they share no code with quiverglue."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@settings(max_examples=18, derandomize=True, deadline=None, database=None)
+@given(
+    st.lists(st.sampled_from(A7_INTERVALS), min_size=1, max_size=6),
+    st.sampled_from([101, 32003, 3037000493]),
+    st.integers(0, 2**16),
+)
+def test_decompose_agrees_with_the_rank_formula(parts, p, seed):
+    # interval multiplicities from ranks of composite maps, as for the barcode of a persistence module
+    oracles = perfbench_oracles()
+    vertices = [str(v) for v in range(1, 8)]
+    m = a7_interval_sum(parts, seed, a7_algebra(p))
+    assert oracles.interval_multiplicities(vertices, m.dims, m.maps, lambda v: f"a{v}", p) == Counter(parts)
+    groups = decompose(m)
+    assert len(groups) == len(set(parts))
+    expected = [tuple(int(i <= k <= j) for k in range(7)) for i, j in parts]
+    summands = [(rep.dims, rep.maps, count) for rep, count in groups]
+    assert oracles.check_dense(vertices, lambda v: f"a{v}", expected, summands, p) is None
+
+
+def in_random_basis(m, rng):
+    """m conjugated at each vertex by a random invertible matrix."""
+    field = m.algebra.field
+    change = {}
+    for v, d in m.dims.items():
+        inv = None
+        while inv is None:
+            g = field.mat(rng.integers(0, field.p, size=(d, d)))
+            inv = field.inverse(g)
+        change[v] = (g, inv)
+    maps = {
+        a.name: field.matmul(field.matmul(change[a.target][0], m.maps[a.name]), change[a.source][1])
+        for a in m.algebra.quiver.arrows
+    }
+    return QModule(m.algebra, m.dims, maps)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 3), st.integers(0, 2), st.sampled_from([101, 32003, 3037000493]), st.integers(0, 2**16))
+def test_decompose_kronecker_sums_with_a_regular_summand(projectives, regulars, p, seed):
+    # P(1)^m + U^k + S(1) with End(U) = F_{p^2}: U gives degree-2 factors, which no draw splits, and
+    # End/rad of U^2 holds M_2(F_{p^2}), whose elements a draw often fails to split
+    quiver = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    algebra = build_algebra(quiver, [], field=PrimeField(p), name="kronecker")
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    u = QModule(algebra, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, c], [1, 0]]})
+    expected = [(projective(algebra, "1"), projectives), (u, regulars), (simple(algebra, "1"), 1)]
+    parts = [x for x, count in expected for _ in range(count)]
+    groups = decompose(in_random_basis(direct_sum(algebra, parts), np.random.default_rng(seed)))
+    assert len(groups) == sum(1 for _, count in expected if count)
+    for x, count in expected:
+        if count:
+            assert [mult for rep, mult in groups if indecomposable_iso(rep, x) is not None] == [count]
+
+
 # -- derived morphisms are certified by construction ---------------------------
 
-A7_INTERVALS = [(i, j) for i in range(7) for j in range(i, 7)]
 closure_settings = settings(max_examples=60, derandomize=True, deadline=None, database=None)
 
 
@@ -818,6 +934,14 @@ def module_pairs(draw):
     return kronecker_module(algebra, draw(dims), rng), kronecker_module(algebra, draw(dims), rng)
 
 
+def basis_combination(basis, coords):
+    """sum_i coords[i] basis[i] for a nonempty basis, by derived arithmetic."""
+    f = modcat.zero_morphism(basis[0].source, basis[0].target)
+    for c, b in zip(coords, basis):
+        f = f.add(b.scale(int(c)))
+    return f
+
+
 def random_combination(source, target, rng):
     f = modcat.zero_morphism(source, target)
     for b in hom_basis(source, target):
@@ -840,9 +964,9 @@ def test_derived_morphisms_are_valid_morphisms(pair, seed):
     f, h = random_combination(m, n, rng), random_combination(m, n, rng)
     g = random_combination(n, m, rng)
     c = int(rng.integers(0, field.p))
-    end = _EndData(m)
-    coords = rng.integers(0, field.p, size=len(end.basis))
-    auto = end.from_coords(coords)
+    basis = hom_basis(m, m)
+    coords = rng.integers(0, field.p, size=len(basis))
+    auto = basis_combination(basis, coords)
     derived = [
         g.compose(f), f.compose(g), f.add(h), f.scale(c), f.negate(), identity_morphism(m),
         dualize_morphism(f), auto, g.compose(f.add(h)).add(identity_morphism(m)),
@@ -858,7 +982,7 @@ def test_derived_morphisms_are_valid_morphisms(pair, seed):
         assert np.array_equal(f.scale(c).blocks[v], c * f.blocks[v] % field.p)
         assert np.array_equal(f.negate().blocks[v], -f.blocks[v] % field.p)
         assert np.array_equal(dualize_morphism(f).blocks[v], f.blocks[v].T)
-        combination = sum(int(k) * b.blocks[v] for k, b in zip(coords, end.basis)) % field.p
+        combination = sum(int(k) * b.blocks[v] for k, b in zip(coords, basis)) % field.p
         assert np.array_equal(auto.blocks[v], combination)
         if auto.is_isomorphism():
             assert np.array_equal(auto.inverse().blocks[v] @ auto.blocks[v] % field.p, np.eye(m.dims[v]))
@@ -881,14 +1005,13 @@ def test_add_refuses_different_endpoints(kronecker_modules):
 def test_derived_morphisms_skip_the_square_check(end_modules, monkeypatch):
     m = end_modules[2]
     f, g = hom_basis(m, m)[:2]
-    end = _EndData(m)
 
     def refuse(self):
         raise AssertionError("square check ran")
 
     monkeypatch.setattr(QMorphism, "_check_squares", refuse)
     inverse = identity_morphism(m).scale(3).inverse()
-    derived = (f.compose(g), f.add(g), f.negate(), inverse, dualize_morphism(f), end.from_coords(end.one))
+    derived = (f.compose(g), f.add(g), f.negate(), inverse, dualize_morphism(f), basis_combination([f, g], [2, 3]))
     for d in (*derived, modcat.zero_morphism(m, m)):
         assert d.source.dim_vector() == m.dim_vector()
     zero = modcat.zero_morphism(m, simple(m.algebra, "3"))
@@ -1083,6 +1206,24 @@ def test_both_hom_assemblies_agree_on_kronecker_modules(kronecker_modules):
     for m in kronecker_modules:
         for n in kronecker_modules:
             assert_same_hom_kernel(m, n)
+
+
+@pytest.mark.parametrize("size", [2, 9])
+def test_a_hom_system_without_equations_is_not_eliminated(a2, monkeypatch, size):
+    # Hom(S(1)^size, S(1)^size) over 1 -> 2: arrow d runs into vertex 2, where the target is zero
+    m = QModule(a2, {"1": size}, {})
+    expected = [modcat._hom_kernel_rows(m, m), modcat._hom_kernel_scatter(m, m)]
+    assert all(np.array_equal(e, np.eye(size * size, dtype=np.int64)) for e in expected)
+
+    def refuse(*args):
+        raise AssertionError("a system without equations was eliminated")
+
+    monkeypatch.setattr(modcat, "_hom_kernel_rows", refuse)
+    monkeypatch.setattr(modcat, "_hom_kernel_scatter", refuse)
+    basis = modcat._hom_basis_compute(m, m)
+    assert np.array_equal(np.array([f.to_vector() for f in basis]), expected[0])
+    for f in basis:
+        assert_revalidates(f)
 
 
 # -- isomorphism witnesses between indecomposables -------------------------------
