@@ -14,7 +14,6 @@ which also yields a reduction table expressing every path in the basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from .errors import MalformedRelation, NotFiniteDimensional, UnknownVertex
@@ -114,8 +113,7 @@ class Quiver:
         return Quiver(list(self.vertices), [(a.name, a.target, a.source) for a in self.arrows])
 
 
-@dataclass(frozen=True)
-class RelationSum:
+class RelationSum(NamedTuple):
     """A relation sum(coeff * path) = 0 with equal-length composable paths."""
 
     terms: tuple[tuple[int, Path], ...]

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ from .modcat import (
 )
 
 
-@dataclass(frozen=True)
-class CoresolutionWitness:
+class CoresolutionWitness(NamedTuple):
     """An exact chain 0 -> X -> T^0 -> ... -> T^m -> 0 with add(T) terms."""
 
     start: QModule

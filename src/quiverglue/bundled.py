@@ -10,9 +10,9 @@ alternate data directory can be substituted wholesale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import UnknownName
 from .modcat import QModule, Universe, direct_sum
@@ -33,8 +33,7 @@ INPUTS = {
 }
 
 
-@dataclass(frozen=True)
-class Workspace:
+class Workspace(NamedTuple):
     """Everything the worked examples need, loaded from text files."""
 
     recollement: Recollement

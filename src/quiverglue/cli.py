@@ -11,11 +11,16 @@ prints a deterministic report, and exits with:
 ``reproduce`` runs the full pipeline on the bundled data and compares
 the glued module against the expected decomposition, printing a diff on
 mismatch.
+
+``run`` is the process entry (the ``quiverglue`` script and
+``python -m quiverglue.cli``); ``main(argv)`` returns the exit code for
+callers in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -304,5 +309,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MISMATCH
 
 
+def run() -> None:
+    """Run ``main`` on the command line and exit with its code."""
+    code = main()
+    # quiverglue registers no finalizers, and the interpreter flushes stdout and
+    # stderr at exit regardless, so the final cyclic collection of everything the
+    # run built would only cost time: frozen objects are exempt from it.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -20,7 +20,7 @@ universe route must agree for the call to succeed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import homology as hgy
 from .approx import (
@@ -53,8 +53,7 @@ from .tilting import (
 )
 
 
-@dataclass(frozen=True)
-class GluedPair:
+class GluedPair(NamedTuple):
     """The glued cotorsion pair on the middle category, fully verified."""
 
     recollement: Recollement
@@ -150,8 +149,7 @@ def glued_classes(
     )
 
 
-@dataclass(frozen=True)
-class KConstruction:
+class KConstruction(NamedTuple):
     """The pushout module of one c-side summand with its two exact rows."""
 
     k: QModule
@@ -221,8 +219,7 @@ def k_construction(glued: GluedPair, t3_summand: QModule) -> KConstruction:
     )
 
 
-@dataclass(frozen=True)
-class GlueResult:
+class GlueResult(NamedTuple):
     """Outcome of gluing: the middle module, its degree and its decomposition."""
 
     t2: QModule

@@ -21,7 +21,7 @@ complement of the radical (``top_lifts``), so no top quotient is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ def exact_at_middle(first: QMorphism, second: QMorphism) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ShortExactSequence:
+class ShortExactSequence(NamedTuple):
     """0 -> sub -> mid -> quot -> 0 with verification on demand."""
 
     incl: QMorphism
@@ -92,8 +91,7 @@ class ShortExactSequence:
                 raise ValueError(f"not exact at the middle, vertex {v}")
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """A finite initial segment of a minimal resolution.
 
     ``terms[k]`` = P_k covers the k-th syzygy (the target for k = 0);
@@ -211,8 +209,7 @@ def _extend(res: Resolution, length: int) -> Resolution:
         differentials.append(last)
         terms.append(last.source)
         generators.append(gens)
-    return replace(
-        res,
+    return res._replace(
         terms=tuple(terms),
         differentials=tuple(differentials),
         syzygies=tuple(syzygies),
@@ -269,8 +266,7 @@ def cosyzygy(m: QModule, i: int) -> QModule:
     return dualize(syzygy(dualize(m), i))
 
 
-@dataclass(frozen=True)
-class ExtGroup:
+class ExtGroup(NamedTuple):
     """Ext^degree(source, target) with an explicit cocycle basis."""
 
     degree: int

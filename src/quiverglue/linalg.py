@@ -4,7 +4,8 @@ Matrices are plain numpy ``int64`` arrays whose entries are canonical
 representatives ``0..p-1``.  All routines are deterministic: elimination
 always picks the first nonzero pivot, so reduced forms, kernel bases and
 image bases depend only on the input, never on random draws;
-``irreducible_factors`` draws only from the generator it is given.
+``irreducible_factors`` draws only from the ``random.Random`` it is
+given (the standard library's, so factoring never imports numpy.random).
 
 Entries never overflow int64.  A product of two canonical entries is at
 most (p-1)**2, so ``PrimeField`` rejects every p with (p-1)**2 above
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from itertools import zip_longest
+from random import Random
 
 import numpy as np
 
@@ -441,14 +443,15 @@ class PrimeField:
             out[diagonal] = np.mod(out[diagonal] + c, self.p)
         return out
 
-    def irreducible_factors(self, f: list[int], rng: np.random.Generator) -> list[list[int]]:
+    def irreducible_factors(self, f: list[int], rng: Random) -> list[list[int]]:
         """The distinct monic irreducible factors of a polynomial f of degree below p.
 
         Squarefree part f / gcd(f, f'), which needs deg f < p; then
         distinct-degree factorization by gcd(g, x^(p^d) - x); then
         Cantor-Zassenhaus on each product of equal-degree factors,
         which splits it by gcd(g, r^((p^d - 1)/2) - 1) for random r
-        of degree below deg g drawn from ``rng``.  No step runs over
+        of degree below deg g, each coefficient drawn by
+        ``rng.randrange(p)`` from a ``random.Random``.  No step runs over
         the p residues.  Sorted by degree, then by coefficients.
         """
         p = self.p
@@ -475,7 +478,7 @@ class PrimeField:
             factors += self._equal_degree_factors(u, d, rng)
         return sorted(factors, key=lambda h: (len(h), h))
 
-    def _equal_degree_factors(self, g: list[int], d: int, rng: np.random.Generator) -> list[list[int]]:
+    def _equal_degree_factors(self, g: list[int], d: int, rng: Random) -> list[list[int]]:
         """The irreducible factors of a monic squarefree g whose factors all have degree d."""
         p = self.p
         factors = [g]
@@ -483,7 +486,7 @@ class PrimeField:
             if len(factors) * d == len(g) - 1:
                 return factors
             # g has degree 2 or more, below p, so p is odd
-            r = [int(c) for c in rng.integers(0, p, size=len(g) - 1)]
+            r = [rng.randrange(p) for _ in range(len(g) - 1)]
             w = self._poly_sub(self._poly_powmod(r, (p**d - 1) // 2, g), [1])
             split = []
             for h in factors:

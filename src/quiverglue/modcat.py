@@ -41,8 +41,10 @@ its canonical maps, without End(sum).  Modules built directly with
 Decomposition into indecomposables cuts a module along the generalized
 eigenspaces of one endomorphism.  A splitting step first solves for the
 End basis and stops when it has one element (End(m) = F_p).  Otherwise
-it draws a = sum c_i b_i from one fixed pseudo-random sequence and
-factors the characteristic polynomials of the blocks a_v over F_p
+it draws a = sum c_i b_i from one fixed pseudo-random sequence (the
+standard library's ``random.Random(_SPLIT_SEED)``, restarted at every
+step, so no step imports numpy.random) and factors the characteristic
+polynomials of the blocks a_v over F_p
 (``PrimeField.irreducible_factors``: squarefree part, distinct-degree,
 then equal-degree factorization, on Python integers, with no step over
 all p residues).  Each irreducible factor f gives the submodule with
@@ -74,6 +76,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from functools import cached_property
+from random import Random
 
 import numpy as np
 
@@ -834,12 +837,13 @@ def _split_summands_compute(m: QModule) -> tuple[tuple[QModule, QMorphism, QMorp
 def _split_module_once(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]] | None:
     """One splitting step; None certifies that m is indecomposable.
 
-    Draws a = sum c_i b_i over the End basis from the sequence that
-    ``_SPLIT_SEED`` starts and cuts m into the generalized eigenspaces of
-    a, one per irreducible factor of its characteristic polynomials.  Only
-    a module that the first draw leaves whole builds End(m)'s structure
-    constants, to certify that S = End(m)/rad is a field; if it is not, m
-    is decomposable and the draws go on.
+    Draws a = sum c_i b_i over the End basis from ``Random(_SPLIT_SEED)``
+    (each c_i by ``randrange(p)``; every step restarts the sequence) and
+    cuts m into the generalized eigenspaces of a, one per irreducible
+    factor of its characteristic polynomials.  Only a module that the
+    first draw leaves whole builds End(m)'s structure constants, to
+    certify that S = End(m)/rad is a field; if it is not, m is
+    decomposable and the draws go on.
     """
     field = m.algebra.field
     basis = _hom_basis_compute(m, m)
@@ -847,9 +851,9 @@ def _split_module_once(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]]
     if n == 1:  # End(m) is the field itself
         return None
     stacks = _stacks(m, m, basis)
-    rng = np.random.default_rng(_SPLIT_SEED)
+    rng = Random(_SPLIT_SEED)
     for draw in range(4096):
-        coeffs = rng.integers(0, field.p, size=(1, n))
+        coeffs = np.array([[rng.randrange(field.p) for _ in range(n)]], dtype=np.int64)
         a = {v: field.matmul(coeffs, s.reshape(n, -1)).reshape(s.shape[1:]) for v, s in stacks.items()}
         components = _primary_components(field, a, rng)
         if len(components) > 1:
@@ -859,13 +863,15 @@ def _split_module_once(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]]
     raise RuntimeError("no splitting element found; raise the trial bound")
 
 
-def _primary_components(field, a: dict[str, np.ndarray], rng: np.random.Generator) -> list[dict[str, np.ndarray]]:
+def _primary_components(field, a: dict[str, np.ndarray], rng: Random) -> list[dict[str, np.ndarray]]:
     """Per irreducible factor f of the characteristic polynomials chi_v of a, the bases of ker f(a_v)^e_v.
 
     e_v is the multiplicity of f in chi_v, so ker f(a_v)^e_v is the
     generalized eigenspace of a_v for f: the image at v of the primitive
     idempotent of F_p[a] that belongs to f.  The factors are those of the
-    squarefree part of the product of the chi_v, of degree dim m < p.
+    squarefree part of the product of the chi_v, of degree dim m < p;
+    their equal-degree splits draw from the step's ``rng``, so the next
+    element a is drawn after them.
     """
     charpolys = {v: field.charpoly(block) for v, block in a.items()}
     product = [1]

@@ -20,7 +20,7 @@ never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .errors import AlgebraMismatch, NotTriangular
 from .modcat import QModule, QMorphism, quotient_by_images, simple
 
 
-@dataclass(frozen=True)
-class CanonicalSequence:
+class CanonicalSequence(NamedTuple):
     """first: L -> M, second: M -> R with per-position exactness flags."""
 
     first: QMorphism

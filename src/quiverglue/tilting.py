@@ -18,7 +18,7 @@ raises UniverseInconsistent rather than picking a side.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import homology as hgy
 from .approx import CoresolutionWitness, in_T_covee, in_T_wedge
@@ -33,8 +33,7 @@ from .modcat import (
 )
 
 
-@dataclass(frozen=True)
-class TiltingCheck:
+class TiltingCheck(NamedTuple):
     """Outcome of a tilting or cotilting verification.
 
     ``failures`` lists human-readable axiom violations; empty means the
@@ -122,8 +121,7 @@ def verify_cotilting(t: QModule, n: int) -> TiltingCheck:
     return direct
 
 
-@dataclass(frozen=True)
-class CotorsionPairData:
+class CotorsionPairData(NamedTuple):
     """A cotorsion pair cut out of a finite universe.
 
     ``kind`` is ("plain",), ("tilting", T, n) or ("cotilting", T, n).
@@ -231,8 +229,7 @@ def cotorsion_pair_from_cotilting(t: QModule, n: int, universe: Universe) -> Cot
     return _pair_from_verified(t, n, universe, "cotilting")
 
 
-@dataclass(frozen=True)
-class TiltingPairDecision:
+class TiltingPairDecision(NamedTuple):
     accepted: bool
     n: int | None
     t_names: tuple[str, ...]

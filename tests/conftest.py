@@ -32,13 +32,15 @@ def bound_a3(field):
     return build_algebra(quiver, [relation(quiver, [(1, ["a", "b"])])], field=field, name="ba3")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def kronecker_regular(request, field):
     """The Kronecker module k^2 with arrows I and the companion matrix of t^2 - c.
 
     c is the least quadratic non-residue mod p, so t^2 - c is irreducible
     and End(U) = F_p[t]/(t^2 - c) = F_{p^2}.  The prime is ``field``'s
-    unless the test parametrizes this fixture indirectly with one.
+    unless the test parametrizes this fixture indirectly with one.  Built
+    per test on its own algebra: tests decompose it and build approximation
+    classes on it, and the algebra's memo would carry that work over.
     """
     p = getattr(request, "param", field.p)
     c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)

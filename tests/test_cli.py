@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from quiverglue.cli import main
 
 DATA = data_path()
 GOLDEN = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -143,6 +147,21 @@ def test_reproduce_report_is_the_golden_one(capsys, monkeypatch, prime, example)
     code, out, _ = run(capsys, "--prime", prime, "reproduce", example)
     assert code == 0
     assert out.encode() == (GOLDEN / f"reproduce_{example}.txt").read_bytes()
+
+
+def test_cold_reproduce_imports_no_numpy_random(tmp_path):
+    # the process entry, as a user runs it: the golden report, and no module pays for numpy.random
+    env = {k: v for k, v in os.environ.items() if k not in ("QUIVERGLUE_PRIME", "QUIVERGLUE_SEED")}
+    env["PYTHONPATH"] = str(SRC)
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "quiverglue.cli", "--prime", "101", "reproduce", "5-2"],
+        cwd=tmp_path, env=env, stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
+    )
+    assert out.returncode == 0
+    assert out.stdout == (GOLDEN / "reproduce_5-2.txt").read_bytes()
+    imports = [line for line in out.stderr.decode().splitlines() if line.startswith("import time:")]
+    assert any(line.rstrip().endswith(" quiverglue.glue") for line in imports)
+    assert not [line for line in imports if "numpy.random" in line]
 
 
 def test_reproduce_at_a_large_prime(capsys):

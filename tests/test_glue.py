@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 import pytest
@@ -142,7 +141,7 @@ def test_k_construction_guards(tilt_result, cotilt_result, la, lc):
     with pytest.raises(PreconditionFailed, match="c-side algebra"):
         k_construction(tilt_result.glued, simple(la, "1"))
     # K is certified against the glued core it is handed
-    no_core = dataclasses.replace(tilt_result.glued, t2_names=())
+    no_core = tilt_result.glued._replace(t2_names=())
     with pytest.raises(UniverseInconsistent, match="outside the glued core"):
         k_construction(no_core, simple(lc, "3"))
 

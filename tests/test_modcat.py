@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
@@ -285,9 +286,8 @@ def test_decomposing_every_interval_builds_no_end_data(monkeypatch, kronecker_re
     assert len(decompose(a7_interval_sum([(0, 2), (1, 4)], seed=1))) == 2
     assert not built
     # End(U) = F_{p^2}: no draw splits U, so only the trace-form certificate can say it is indecomposable
-    u = unshared(kronecker_regular)
-    assert len(decompose(u)) == 1
-    assert built == [u]
+    assert len(decompose(kronecker_regular)) == 1
+    assert built == [kronecker_regular]
 
 
 def test_direct_sum_and_iso(a2):
@@ -340,9 +340,8 @@ def test_decompose_seed_independent(kronecker_regular, monkeypatch, seed):
     u = kronecker_regular
     cases = [(line, [high, low, low]), (unshared(direct_sum(u.algebra, [u, u])), [u, u])]
     drawn = []
-    default_rng = np.random.default_rng
     monkeypatch.setattr(modcat, "_SPLIT_SEED", seed)
-    monkeypatch.setattr(np.random, "default_rng", lambda s: drawn.append(s) or default_rng(s))
+    monkeypatch.setattr(modcat, "Random", lambda s: drawn.append(s) or Random(s))
     for m, expected in cases:
         drawn.clear()
         parts = split_summands(m)
@@ -1278,3 +1277,21 @@ def test_indecomposable_iso_refuses_a_nonzero_map_that_is_no_isomorphism(field):
     n = QModule(algebra, {"1": 2}, {"x": zero, "y": shift})
     assert len(hom_basis(m, n)) == 1 and witness_from_composites(m, n) is None
     assert indecomposable_iso(m, n) is None
+
+
+# -- Hom from a projective and double duals on random modules ------------------
+
+
+@closure_settings
+@given(module_pairs(), st.integers(0, 2**16))
+def test_hom_from_projectives_and_double_duals(pair, seed):
+    # dim Hom(P(v), M) = dim M_v, and dualizing twice returns the module itself and the morphism's blocks
+    m, n = pair
+    algebra = m.algebra
+    for x in pair:
+        assert {v: hom_dim(projective(algebra, v), x) for v in x.dims} == x.dims
+        assert dualize(dualize(x)) is x
+    f = random_combination(m, n, np.random.default_rng(seed))
+    back = dualize_morphism(dualize_morphism(f))
+    assert back.source is m and back.target is n
+    assert all(np.array_equal(back.blocks[v], f.blocks[v]) for v in m.dims)
