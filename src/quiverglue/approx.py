@@ -155,8 +155,8 @@ class _ApproxClass:
         """Per i in ``live``, the composites Hom(U_j, X) o Hom(U_i, U_j).
 
         ``left`` stacks a basis of Hom(U_j, X).  Column (phi, g) of entry i
-        is phi o g flattened like ``QMorphism.to_vector``, as the
-        ``_block_products`` of each vertex would give it; a vertex where X
+        is phi o g flattened like ``QMorphism.to_vector``: at each vertex,
+        row (c, s) holds entry (c, s) of the composite; a vertex where X
         or U_i is zero contributes no rows.
         """
         column = self.target(j)

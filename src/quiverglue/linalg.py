@@ -35,7 +35,6 @@ admitted p.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from itertools import zip_longest
 from random import Random
 
@@ -127,25 +126,16 @@ class PrimeField:
             raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
         if not (a.size and b.size):
             return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        if a.shape[1] > self.max_inner:
-            return self.blockwise_sum(a.shape[1], lambda s: a[:, s] @ b[s])
+        k, step = a.shape[1], self.max_inner
+        if k > step:
+            # each block sums at most max_inner products of residues, so it stays within int64
+            total = np.mod(a[:, :step] @ b[:step], self.p)
+            for start in range(step, k, step):
+                total += np.mod(a[:, start : start + step] @ b[start : start + step], self.p)
+                np.mod(total, self.p, out=total)
+            return total
         out = a @ b
         return np.mod(out, self.p, out=out)
-
-    def blockwise_sum(self, k: int, product: Callable[[slice], np.ndarray]) -> np.ndarray:
-        """sum_t product(t) mod p over the inner blocks t of range(k) of length ``max_inner``.
-
-        ``product(t)`` sums the products of residues at the inner indices
-        in the slice t, so it stays within int64; each block is reduced
-        before it is added.  For k <= ``max_inner`` this is one product and
-        one reduction.
-        """
-        step = self.max_inner
-        total = np.mod(product(slice(0, step)), self.p)
-        for start in range(step, k, step):
-            total += np.mod(product(slice(start, start + step)), self.p)
-            np.mod(total, self.p, out=total)
-        return total
 
     def inv_scalar(self, a: int) -> int:
         a = int(a) % self.p

@@ -57,25 +57,24 @@ the projections.  Each piece is split again until it is certified.
 
 A draw that leaves m whole (one factor) does not make m indecomposable:
 a non-scalar element of a local End(m) and an unlucky element of a
-matrix algebra look alike.  So only then is End(m) built, as a certified
-table of structure constants T[k, i, j] (the b_k-coordinate of b_i o
-b_j): the products at the basis matrix's pivot rows give the
-coordinates, and each vertex's products, formed in one contraction, are
-certified against them by mapping the coordinates back.  The radical is
-the kernel of the trace form (valid because the field characteristic
-exceeds the total dimension), and m is indecomposable exactly when
-S = End(m)/rad is a field, that is when S is F_p, or commutative with
-Frobenius z -> z^p fixing only its scalars.  Otherwise the draws go on.
-Decomposition is deterministic, and by Krull-Schmidt its multiset of
-summands could not depend on the sequence.  The End basis is not
-memoized: it serves one step.
+matrix algebra look alike.  Let E = End(m), J its radical and S = E/J
+of dimension s.  J is the kernel of the trace form, since the field
+characteristic exceeds dim m, so s is the rank of that form.  If every
+chi_v is a power of one irreducible f of degree d, the image of a in S
+has minimal polynomial f^k, and F_p[a] in S has dimension kd >= d.  When
+d = s, F_p[a] is all of S, so S = F_p[x]/(f^k); S is semisimple, so
+k = 1 and S is a field: E is local and m is indecomposable.  When S is
+not a field, d = s never holds and the draws go on; when S is the field
+F_(p^s), a draw whose image generates S gives d = s.  The certificate
+draws nothing, so it changes no split.  Decomposition is deterministic,
+and by Krull-Schmidt its multiset of summands could not depend on the
+sequence.  The End basis is not memoized: it serves one step.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from functools import cached_property
 from random import Random
 
 import numpy as np
@@ -692,19 +691,6 @@ def _stacks(source: QModule, target: QModule, morphisms: Sequence[QMorphism]) ->
     return {v: np.stack([f.blocks[v] for f in morphisms]) for v in vertices}
 
 
-def _block_products(field, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Row (a, c), column (i, j): entry (a, c) of left[i] @ right[j].
-
-    ``left`` (n, t, m) and ``right`` (k, m, s) are stacks of blocks at one
-    vertex; all n * k products come from one matrix product.
-    """
-    n, t, m = left.shape
-    k, _, s = right.shape
-    # rows (i, a) times columns (j, c)
-    prod = field.matmul(left.reshape(n * t, m), right.transpose(1, 0, 2).reshape(m, k * s))
-    return prod.reshape(n, t, k, s).transpose(1, 3, 0, 2).reshape(t * s, n * k)
-
-
 def _trace_pairing(field, left: dict[str, np.ndarray], right: dict[str, np.ndarray]) -> np.ndarray:
     """Entry (i, j): the trace of left[i] o right[j], for stacks of maps M -> N and N -> M."""
 
@@ -714,83 +700,6 @@ def _trace_pairing(field, left: dict[str, np.ndarray], right: dict[str, np.ndarr
     rows = np.concatenate([flat(a) for a in left.values()], axis=1)
     cols = np.concatenate([flat(b.transpose(0, 2, 1)) for b in right.values()], axis=1)
     return field.matmul(rows, cols.T)
-
-
-class _EndData:
-    """End(M) in the coordinates of one basis, with its structure constants.
-
-    Basis blocks are kept as one stack (n, d_v, d_v) per vertex.  The inverse
-    of the basis matrix's pivot rows turns vectors into coordinates, and every
-    coordinate vector is certified by mapping it back.  The basis is not
-    memoized: it only serves this transient object.
-    """
-
-    def __init__(self, m: QModule, basis: tuple[QMorphism, ...] | None = None):
-        self.module = m
-        self.field = field = m.algebra.field
-        self.basis = _hom_basis_compute(m, m) if basis is None else basis
-        n = len(self.basis)
-        self.stacks = _stacks(m, m, self.basis)
-        self.vecs = np.concatenate([s.reshape(n, -1) for s in self.stacks.values()], axis=1).T
-        # rref([vecs^T | I]) = [E vecs^T | E]: E inverts the pivot rows of vecs
-        r, self.pivots, _ = field.rref(np.hstack([self.vecs.T, field.identity(n)]))
-        self.pivot_inverse = r[:, self.vecs.shape[0] :].T
-
-    def coords_many(self, vecs: np.ndarray) -> np.ndarray:
-        """Coordinates of the columns of ``vecs`` (flattened endomorphisms)."""
-        c = self.field.matmul(self.pivot_inverse, vecs[self.pivots])
-        if not np.array_equal(self.field.matmul(self.vecs, c), vecs):
-            raise RuntimeError("endomorphism outside End basis span")
-        return c
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """The trace form tr(b_i o b_j); its kernel is the radical."""
-        return _trace_pairing(self.field, self.stacks, self.stacks)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """T[k, i, j]: the coordinate at b_k of the product b_i o b_j.
-
-        From the products' pivot rows; the span is certified a vertex at a time.
-        """
-        field, n = self.field, len(self.basis)
-        stacks = [s for s in self.stacks.values() if s.shape[1]]
-        starts = np.cumsum([0] + [s.shape[1] ** 2 for s in stacks])
-        pivots, at_pivots = np.array(self.pivots, dtype=np.int64), []
-        for s, start, end in zip(stacks, starts, starts[1:]):
-            # pivot row (a, c) at this vertex: row a of each b_i times column c of each b_j
-            a, c = np.divmod(pivots[(start <= pivots) & (pivots < end)] - start, s.shape[1])
-            left, right = s[:, a].transpose(1, 0, 2), s[:, :, c].transpose(2, 1, 0)
-            at_pivots.append(field.blockwise_sum(s.shape[1], lambda t: left[:, :, t] @ right[:, t]))
-        coords = field.matmul(self.pivot_inverse, np.concatenate(at_pivots).reshape(n, n * n))
-        for s, start, end in zip(stacks, starts, starts[1:]):
-            if not np.array_equal(field.matmul(self.vecs[start:end], coords), _block_products(field, s, s)):
-                raise RuntimeError("endomorphism outside End basis span")
-        return coords.reshape(n, n, n)
-
-    @cached_property
-    def one(self) -> np.ndarray:
-        """Coordinates of the identity."""
-        ident = np.concatenate([np.eye(s.shape[1], dtype=np.int64).reshape(-1) for s in self.stacks.values()])
-        return self.coords_many(ident.reshape(-1, 1))[:, 0]
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Column c: the coordinates of the product (a[:, c]) o (b[:, c])."""
-        n = len(self.basis)
-        by_b = self.field.matmul(self.table.reshape(n * n, n), b).reshape(n, n, -1)
-        # each entry sums n products of two residues, as a matmul with inner dimension n does
-        return self.field.blockwise_sum(n, lambda s: np.einsum("kic,ic->kc", by_b[:, s], a[s]))
-
-    def power(self, a: np.ndarray, exponent: int) -> np.ndarray:
-        """Column c: the coordinates of (a[:, c])^exponent, by square and multiply."""
-        result, base = np.repeat(self.one.reshape(-1, 1), a.shape[1], axis=1), a
-        while exponent:
-            if exponent & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            exponent >>= 1
-        return result
 
 
 def split_summands(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]]:
@@ -840,10 +749,10 @@ def _split_module_once(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]]
     Draws a = sum c_i b_i over the End basis from ``Random(_SPLIT_SEED)``
     (each c_i by ``randrange(p)``; every step restarts the sequence) and
     cuts m into the generalized eigenspaces of a, one per irreducible
-    factor of its characteristic polynomials.  Only a module that the
-    first draw leaves whole builds End(m)'s structure constants, to
-    certify that S = End(m)/rad is a field; if it is not, m is
-    decomposable and the draws go on.
+    factor of its characteristic polynomials.  A draw that leaves m whole
+    has one factor f, of degree d; the step then certifies m
+    indecomposable when d = s = dim End(m)/rad, the rank of the trace
+    form (computed once per step), and otherwise draws again.
     """
     field = m.algebra.field
     basis = _hom_basis_compute(m, m)
@@ -852,19 +761,24 @@ def _split_module_once(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]]
         return None
     stacks = _stacks(m, m, basis)
     rng = Random(_SPLIT_SEED)
-    for draw in range(4096):
+    residue_dim = None
+    for _ in range(4096):
         coeffs = np.array([[rng.randrange(field.p) for _ in range(n)]], dtype=np.int64)
         a = {v: field.matmul(coeffs, s.reshape(n, -1)).reshape(s.shape[1:]) for v, s in stacks.items()}
-        components = _primary_components(field, a, rng)
+        components, degrees = _primary_components(field, a, rng)
         if len(components) > 1:
             return _split_into(m, components)
-        if not draw and _residue_algebra_is_a_field(m, basis):
+        if residue_dim is None:
+            residue_dim = field.rank(_trace_pairing(field, stacks, stacks))
+        if degrees[0] == residue_dim:
             return None
     raise RuntimeError("no splitting element found; raise the trial bound")
 
 
-def _primary_components(field, a: dict[str, np.ndarray], rng: Random) -> list[dict[str, np.ndarray]]:
-    """Per irreducible factor f of the characteristic polynomials chi_v of a, the bases of ker f(a_v)^e_v.
+def _primary_components(
+    field, a: dict[str, np.ndarray], rng: Random
+) -> tuple[list[dict[str, np.ndarray]], list[int]]:
+    """Per irreducible factor f of the characteristic polynomials chi_v of a, the bases of ker f(a_v)^e_v, and deg f.
 
     e_v is the multiplicity of f in chi_v, so ker f(a_v)^e_v is the
     generalized eigenspace of a_v for f: the image at v of the primitive
@@ -877,7 +791,7 @@ def _primary_components(field, a: dict[str, np.ndarray], rng: Random) -> list[di
     product = [1]
     for chi in charpolys.values():
         product = field.poly_mul(product, chi)
-    components = []
+    components, degrees = [], []
     for f in field.irreducible_factors(product, rng):
         bases = {}
         for v, chi in charpolys.items():
@@ -888,7 +802,8 @@ def _primary_components(field, a: dict[str, np.ndarray], rng: Random) -> list[di
                 quotient, rest = field.poly_divmod(chi, f)
             bases[v] = field.kernel_basis(field.poly_at(power, a[v])) if len(power) > 1 else field.zeros(len(a[v]), 0)
         components.append(bases)
-    return components
+        degrees.append(len(f) - 1)
+    return components, degrees
 
 
 def _split_into(m: QModule, components: list[dict[str, np.ndarray]]) -> list[tuple[QModule, QMorphism, QMorphism]]:
@@ -912,29 +827,6 @@ def _split_into(m: QModule, components: list[dict[str, np.ndarray]]) -> list[tup
         for proj, bases in zip(projections, components):
             proj[v], start = inverse[start : start + bases[v].shape[1]], start + bases[v].shape[1]
     return [(piece, incl, QMorphism._certified(m, piece, proj)) for (piece, incl), proj in zip(subs, projections)]
-
-
-def _residue_algebra_is_a_field(m: QModule, basis: tuple[QMorphism, ...]) -> bool:
-    """Whether S = End(m)/rad is a field, which certifies m indecomposable.
-
-    The radical is the kernel of the trace form, and the basis elements
-    at the form's pivots lift a basis of S.  S is a field when it is F_p,
-    or when it is commutative and Frobenius z -> z^p, which is then
-    F_p-linear on it (Berlekamp), fixes only its scalars.
-    """
-    field = m.algebra.field
-    end = _EndData(m, basis)
-    _, pivots, s_dim = field.rref(end.gram)
-    if s_dim == 1:
-        return True
-    n = len(basis)
-    lifts = field.identity(n)[:, pivots]
-    products = end.table[:, pivots][:, :, pivots]
-    commutators = field.sub(products, products.transpose(0, 2, 1)).reshape(n, s_dim * s_dim)
-    if np.any(field.matmul(end.gram, commutators)):
-        return False
-    frobenius = field.sub(end.power(lifts, field.p), lifts)
-    return field.kernel_basis(field.matmul(end.gram, frobenius)).shape[1] == 1
 
 
 def decompose(m: QModule) -> list[tuple[QModule, int]]:

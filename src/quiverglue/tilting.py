@@ -266,8 +266,14 @@ def is_tilting_cotorsion_pair(pair: CotorsionPairData, cap: int = 8) -> TiltingP
 
 
 def _least_degree(verify, t: QModule, cap: int) -> int | None:
-    """Smallest n <= cap for which ``verify(t, n)`` passes, else None."""
-    return next((n for n in range(1, cap + 1) if verify(t, n).ok), None)
+    """Smallest n <= cap for which ``verify(t, n)`` passes, else None.
+
+    (P1) fails below pd T and (C1) below injdim T, so the search starts there.
+    """
+    dimension = (hgy.injdim if verify is verify_cotilting else hgy.pd)(t, cap=cap)
+    if dimension is None:
+        return None
+    return next((n for n in range(max(1, dimension), cap + 1) if verify(t, n).ok), None)
 
 
 def find_tilting_degree(t: QModule, cap: int = 8) -> int | None:

@@ -24,7 +24,6 @@ from quiverglue.bundled import load_workspace
 from quiverglue.errors import KernelNotInV, NotSurjective, NotTilting, PreconditionFailed
 from quiverglue.modcat import (
     QModule,
-    _block_products,
     _stacks,
     decompose,
     direct_sum,
@@ -174,6 +173,19 @@ def test_a_built_class_still_certifies_every_call(a2):
 
 
 # -- the approximation class ---------------------------------------------------
+
+
+def _block_products(field, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row (a, c), column (i, j): entry (a, c) of left[i] @ right[j].
+
+    ``left`` (n, t, m) and ``right`` (k, m, s) are stacks of blocks at one
+    vertex; all n * k products come from one matrix product.
+    """
+    n, t, m = left.shape
+    k, _, s = right.shape
+    # rows (i, a) times columns (j, c)
+    prod = field.matmul(left.reshape(n * t, m), right.transpose(1, 0, 2).reshape(m, k * s))
+    return prod.reshape(n, t, k, s).transpose(1, 3, 0, 2).reshape(t * s, n * k)
 
 
 @pytest.mark.parametrize("side", ["a", "c", "b"])

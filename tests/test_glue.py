@@ -5,7 +5,10 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from quiverglue import PrimeField, Quiver, build_algebra
 from quiverglue import glue as glue_module
 from quiverglue import homology as hgy
 from quiverglue.bundled import load_workspace
@@ -383,3 +386,64 @@ def test_example_5_2_names_a_repeated_universe_member():
     universe = Universe(ws.universe_b.algebra, ws.universe_b.members + [("copy", rescaled(member, vertex, 3))])
     with pytest.raises(UniverseInconsistent, match=re.escape("members (P(1)|P(3)) and copy are isomorphic")):
         glue_tilting(ws.recollement, t1, n1, t3, n3, ws.universe_a, ws.universe_c, universe)
+
+
+# -- the theorem over generated type-A recollements ----------------------------------
+
+
+def type_a_interval_universe(algebra):
+    """Every interval of a quiver whose vertices are positions of a line, as ``[i,j]``.
+
+    For any orientation of A_n the intervals are exactly the indecomposables
+    (Gabriel): their dimension vectors are the positive roots.  An interval
+    is a run of consecutive positions that are all vertices of ``algebra``.
+    """
+    vertices = set(algebra.quiver.vertices)
+    members = []
+    for i in sorted(int(v) for v in vertices):
+        j = i
+        while str(j) in vertices:
+            inside = {str(k) for k in range(i, j + 1)}
+            maps = {a.name: [[1]] for a in algebra.quiver.arrows if {a.source, a.target} <= inside}
+            members.append((f"[{i},{j}]", QModule(algebra, {v: 1 for v in inside}, maps)))
+            j += 1
+    return Universe(algebra, members)
+
+
+def generator(algebra, kind):
+    """The projective generator or the injective cogenerator, a 1-tilting module over a hereditary algebra."""
+    make = projective if kind == "proj" else injective
+    return direct_sum(algebra, [make(algebra, v) for v in algebra.quiver.vertices])
+
+
+@st.composite
+def type_a_recollements(draw):
+    """A_n, n <= 7, in a random orientation, with a the successor closure of a random vertex."""
+    n = draw(st.sampled_from([7, 4, 6, 3, 5, 2]))
+    vertices = [str(k) for k in range(1, n + 1)]
+    forward = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    edges = zip(vertices, vertices[1:], forward)
+    arrows = [(f"x{k}", v, w) if ahead else (f"x{k}", w, v) for k, (v, w, ahead) in enumerate(edges)]
+    a_side = {draw(st.sampled_from(vertices))}
+    while grown := {t for _, s, t in arrows if s in a_side} - a_side:
+        a_side |= grown
+    # an a-side closed under successors has no arrow a -> c, so build_recollement accepts it
+    assume(len(a_side) < n)
+    total = build_algebra(Quiver(vertices, arrows), [], field=PrimeField(101), name=f"A{n}")
+    kinds = st.sampled_from(["proj", "inj"])
+    return build_recollement(total, sorted(a_side, key=int)), draw(kinds), draw(kinds)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(type_a_recollements())
+def test_glued_type_a_tilting_modules_have_one_summand_per_vertex(drawn):
+    # T1 and T3 are each Lambda or D(Lambda), 1-tilting over a hereditary algebra; the glued T2 is
+    # tilting of degree at most max(n1, n3) = 1, with |Q_0| pairwise non-isomorphic summands
+    rec, t1_kind, t3_kind = drawn
+    universes = [type_a_interval_universe(alg) for alg in (rec.a_algebra, rec.c_algebra, rec.total)]
+    t1, t3 = generator(rec.a_algebra, t1_kind), generator(rec.c_algebra, t3_kind)
+    result = glue_tilting(rec, t1, 1, t3, 1, *universes)
+    assert result.n2 <= 1
+    vertex_count = len(rec.total.quiver.vertices)
+    assert len(result.basic_names) == vertex_count
+    assert len(decompose(result.t2)) == vertex_count

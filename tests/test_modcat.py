@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kronecker_power import kronecker_projective_power
 
 from quiverglue import PrimeField, QModule, QMorphism, Quiver, build_algebra, relation
 from quiverglue import homology as hgy
@@ -29,8 +30,7 @@ from quiverglue.errors import (
 from quiverglue.glue import glue_tilting
 from quiverglue.modcat import (
     Universe,
-    _block_products,
-    _EndData,
+    _stacks,
     cokernel,
     decompose,
     direct_sum,
@@ -268,26 +268,33 @@ def test_a_fingerprint_collision_is_caught_on_the_hit(kronecker_modules, monkeyp
     assert zero_kernel(a) is zero_kernel(a)
 
 
+def record_trace_ranks(monkeypatch):
+    """The rank of every trace form of End(m) that a split step computes from now on."""
+    ranks, pairing = [], modcat._trace_pairing
+
+    def recording(field, left, right):
+        gram = pairing(field, left, right)
+        ranks.append(field.rank(gram))
+        return gram
+
+    monkeypatch.setattr(modcat, "_trace_pairing", recording)
+    return ranks
+
+
 def test_decomposing_every_interval_builds_no_end_data(monkeypatch, kronecker_regular):
     # End([i, j]) = F_p is certified from the hom basis alone, and a sum of two intervals splits on
-    # its first draw; a fresh algebra keeps the split memo cold
-    built = []
-
-    class CountingEndData(_EndData):
-        def __init__(self, *args):
-            built.append(args[0])
-            super().__init__(*args)
-
-    monkeypatch.setattr(modcat, "_EndData", CountingEndData)
+    # its first draw, so neither computes the rank of a trace form; a fresh algebra keeps the split
+    # memo cold
+    ranks = record_trace_ranks(monkeypatch)
     intervals = [a7_interval_sum([(i, j)], seed=i * 7 + j) for i in range(7) for j in range(i, 7)]
     for m in intervals:
         assert len(decompose(m)) == 1
-    assert not built
+    assert ranks == []
     assert len(decompose(a7_interval_sum([(0, 2), (1, 4)], seed=1))) == 2
-    assert not built
+    assert ranks == []
     # End(U) = F_{p^2}: no draw splits U, so only the trace-form certificate can say it is indecomposable
     assert len(decompose(kronecker_regular)) == 1
-    assert built == [kronecker_regular]
+    assert ranks == [2]
 
 
 def test_direct_sum_and_iso(a2):
@@ -567,59 +574,29 @@ def end_modules(workspace):
     ]
 
 
-def test_end_table_matches_product_solves(end_modules):
-    for m in end_modules:
-        field = m.algebra.field
-        end = _EndData(m)
-        for i, bi in enumerate(end.basis):
-            for j, bj in enumerate(end.basis):
-                ref = field.solve_matrix(end.vecs, bi.compose(bj).to_vector().reshape(-1, 1))
-                assert np.array_equal(end.table[:, i, j], ref[:, 0])
-        assert field.matmul(end.vecs, end.one.reshape(-1, 1))[:, 0].tolist() == identity_morphism(m).to_vector().tolist()
-        # powers in coordinates agree with repeated composition
-        c = np.arange(1, len(end.basis) + 1, dtype=np.int64).reshape(-1, 1)
-        f = basis_combination(end.basis, c[:, 0])
-        cubed = field.matmul(end.vecs, end.power(c, 3))[:, 0]
-        assert np.array_equal(cubed, f.compose(f).compose(f).to_vector())
-
-
 def test_end_radical_is_trace_form_kernel(end_modules):
+    # the split step's s = dim End/rad is the rank of _trace_pairing: the form is tr(b_i o b_j), its
+    # kernel is an ideal of nilpotents, and each summand of these modules has End/rad = F_p
+    radicals = []
     for m in end_modules:
         field = m.algebra.field
-        end = _EndData(m)
-        n = len(end.basis)
+        basis = modcat._hom_basis_compute(m, m)
+        n = len(basis)
         gram = field.zeros(n, n)
-        for i, bi in enumerate(end.basis):
-            for j, bj in enumerate(end.basis):
+        for i, bi in enumerate(basis):
+            for j, bj in enumerate(basis):
                 gram[i, j] = bi.compose(bj).trace()
-        assert np.array_equal(end.gram, gram)
-    assert any(m.algebra.field.kernel_basis(_EndData(m).gram).shape[1] for m in end_modules)
-
-
-def test_end_coordinates_reject_outside_span(end_modules, monkeypatch):
-    compute = modcat._hom_basis_compute
-    table_raised = 0
-    for m in end_modules:
-        field = m.algebra.field
-        full = compute(m, m)
-        for k in range(len(full)):
-            kept = full[:k] + full[k + 1 :]
-            monkeypatch.setattr(modcat, "_hom_basis_compute", lambda s, t: kept)
-            end = _EndData(m)
-            with pytest.raises(RuntimeError, match="outside End basis span"):
-                end.coords_many(full[k].to_vector().reshape(-1, 1))
-            escapes = any(
-                field.solve_matrix(end.vecs, bi.compose(bj).to_vector().reshape(-1, 1)) is None
-                for bi in kept
-                for bj in kept
-            )
-            if escapes:
-                table_raised += 1
-                with pytest.raises(RuntimeError, match="outside End basis span"):
-                    end.table
-            else:
-                assert end.table.shape == (len(kept),) * 3
-    assert table_raised
+        stacks = _stacks(m, m, basis)
+        assert np.array_equal(modcat._trace_pairing(field, stacks, stacks), gram)
+        radical = field.kernel_basis(gram)
+        radicals.append(radical.shape[1])
+        for coords in radical.T:
+            f, power = basis_combination(basis, coords), identity_morphism(m)
+            for _ in range(m.total_dim):
+                power = power.compose(f)
+            assert power.is_zero()
+        assert field.rank(gram) == sum(mult**2 for _, mult in decompose(m))
+    assert any(radicals)
 
 
 def test_decompose_pins_no_end_basis():
@@ -665,11 +642,11 @@ def test_kronecker_with_a_simple_splits_through_the_commutative_branch(kronecker
     assert_summands(split_summands(unshared(direct_sum(u.algebra, [u, s1, u]))), [u, u, s1])
 
     def no_certificate(*args):
-        raise AssertionError("End(M)'s structure constants were built")
+        raise AssertionError("the rank of End(M)'s trace form was computed")
 
     # End/rad = F_{p^2} x F_p is commutative: the characteristic polynomial of the first draw has
     # a quadratic factor from U and a linear one from S(1), so it splits with no certificate
-    monkeypatch.setattr(modcat, "_EndData", no_certificate)
+    monkeypatch.setattr(modcat, "_trace_pairing", no_certificate)
     m = unshared(direct_sum(u.algebra, [s1, u]))
     pieces = modcat._split_module_once(m)
     assert sorted(piece.dim_vector() for piece, _, _ in pieces) == [(1, 0), (2, 2)]
@@ -713,7 +690,7 @@ def test_split_does_not_depend_on_the_end_basis(kronecker_regular, monkeypatch):
 def test_decompose_at_a_large_prime_allocates_little(kronecker_regular):
     # nothing in the split scales with p; one int64 per residue would be 800 MB at 100000007.
     # At 3037000493, (p-1)^2 just fits in int64 and max_inner is 1, so every
-    # product of End(M) (matmul and the einsum in _EndData.mul) is summed block by block
+    # matmul of the split (the draws and the trace form) is summed block by block
     u = kronecker_regular
     m = unshared(direct_sum(u.algebra, [u, simple(u.algebra, "1"), u]))
     tracemalloc.start()
@@ -751,14 +728,20 @@ def first_split_components(monkeypatch, m):
     monkeypatch.setattr(modcat, "_primary_components", lambda *args: seen.append(compute(*args)) or seen[-1])
     split_summands(m)
     monkeypatch.undo()
-    assert len(seen[0]) > 2
-    return seen[0]
+    components, degrees = seen[0]
+    assert len(components) == len(degrees) > 2
+    return components
 
 
 def corrupt_first_split(monkeypatch, corrupt):
     """The first split step's eigenspace bases passed through ``corrupt`` before the split certifies them."""
     compute = modcat._primary_components
-    monkeypatch.setattr(modcat, "_primary_components", lambda *args: corrupt(compute(*args)))
+
+    def corrupted(*args):
+        components, degrees = compute(*args)
+        return corrupt(components), degrees
+
+    monkeypatch.setattr(modcat, "_primary_components", corrupted)
 
 
 def test_a_corrupted_split_block_raises_the_named_certificate(monkeypatch):
@@ -798,28 +781,79 @@ def test_an_unstable_eigenspace_column_raises_the_submodule_error(monkeypatch):
         split_summands(unshared(m))
 
 
-def test_a_first_draw_that_does_not_split_reaches_the_trace_form_certificate(monkeypatch, kronecker_regular):
-    compute, certify = modcat._primary_components, modcat._residue_algebra_is_a_field
-    draws, verdicts = [], []
+def scalar_first_draw(monkeypatch):
+    """Every element a the split steps draw from now on, the first one replaced by the identity."""
+    draws, compute = [], modcat._primary_components
 
     def whole_first(field, a, rng):
+        if not draws:
+            a = {v: field.identity(len(block)) for v, block in a.items()}
         draws.append(a)
-        if len(draws) == 1:
-            return [{v: field.identity(len(block)) for v, block in a.items()}]
         return compute(field, a, rng)
 
     monkeypatch.setattr(modcat, "_primary_components", whole_first)
-    monkeypatch.setattr(modcat, "_residue_algebra_is_a_field", lambda *args: verdicts.append(certify(*args)) or verdicts[-1])
-    # a decomposable module fails the certificate, so the step draws again and splits
+    return draws
+
+
+def test_a_first_draw_that_does_not_split_reaches_the_trace_form_certificate(monkeypatch, kronecker_regular):
+    # a scalar first draw leaves the sum of two intervals whole with d = 1, but End/rad = F_p x F_p
+    # has s = 2: the certificate refuses, and the next draw splits
+    compute = modcat._primary_components
+    ranks = record_trace_ranks(monkeypatch)
+    draws = scalar_first_draw(monkeypatch)
     m = a7_interval_sum([(0, 2), (1, 4)], seed=1)
     pieces = modcat._split_module_once(m)
-    assert verdicts == [False] and len(draws) == 2
+    assert ranks == [2] and len(draws) == 2
     assert sorted(piece.dim_vector() for piece, _, _ in pieces) == [(0, 1, 1, 1, 1, 0, 0), (1, 1, 1, 0, 0, 0, 0)]
-    # End(U) = F_{p^2} is a field: U is certified indecomposable after one draw
+    # End(U) = F_{p^2} is a field, and a first draw outside F_p generates it: d = s = 2 certifies U
+    monkeypatch.setattr(modcat, "_primary_components", lambda *args: draws.append(args[1]) or compute(*args))
     draws.clear()
-    verdicts.clear()
+    ranks.clear()
     assert modcat._split_module_once(kronecker_regular) is None
-    assert verdicts == [True] and len(draws) == 1
+    assert ranks == [2] and len(draws) == 1
+
+
+@kronecker_primes
+def test_a_scalar_first_draw_on_u_draws_again_and_certifies(monkeypatch, kronecker_regular):
+    # d = 1 < s = 2 refuses the scalar draw; the second draw generates F_{p^2}, and s is computed once
+    ranks = record_trace_ranks(monkeypatch)
+    draws = scalar_first_draw(monkeypatch)
+    assert modcat._split_module_once(kronecker_regular) is None
+    assert ranks == [2] and len(draws) == 2
+
+
+def test_a_local_end_with_a_radical_is_certified_by_its_residue_field(monkeypatch, kronecker_modules):
+    # End((I, J_size(1))) = F_p[x]/(x^size): every draw has one eigenvalue, so d = 1 = s < dim End
+    algebra = kronecker_modules[0].algebra
+    ranks = record_trace_ranks(monkeypatch)
+    for size in (2, 3):
+        m = regular_kronecker(algebra, 1, size, np.random.default_rng(size))
+        assert len(modcat._hom_basis_compute(m, m)) == size
+        assert modcat._split_module_once(m) is None
+    assert ranks == [1, 1]
+
+
+@pytest.mark.parametrize("seed", [1, 10])
+def test_a_projective_power_whose_first_draw_is_whole_certifies_with_one_rank(monkeypatch, seed):
+    # End(P(1)^8) = M_8(F_p): in these bases the first draw has an irreducible characteristic
+    # polynomial of degree 8 < s = 64, so the step computes s once and draws again
+    m = kronecker_projective_power(101, 8, seed)
+    degrees, compute = [], modcat._primary_components
+
+    def recording(*args):
+        components, found = compute(*args)
+        degrees.append(found)
+        return components, found
+
+    monkeypatch.setattr(modcat, "_primary_components", recording)
+    ranks = record_trace_ranks(monkeypatch)
+    pieces = modcat._split_module_once(m)
+    assert degrees[0] == [8] and len(degrees) == 2 and len(pieces) > 1
+    assert ranks == [64]
+    monkeypatch.undo()
+    parts = decompose(m)
+    assert [(rep.dim_vector(), mult) for rep, mult in parts] == [((1, 2), 8)]
+    assert indecomposable_iso(parts[0][0], projective(m.algebra, "1")) is not None
 
 
 A7_INTERVALS = [(i, j) for i in range(7) for j in range(i, 7)]
@@ -1163,24 +1197,6 @@ def test_glued_t2_splits_through_its_summands(monkeypatch):
     assert direct_sum(rec.total, parts) is result.t2 and len(parts) > 1
     pieces = assert_splits_through_summands(parts, monkeypatch, universe=universes[2])
     assert len(pieces) == 7
-
-
-# -- the End(M) structure constants in row chunks ------------------------------
-
-
-def unchunked_table(end):
-    """The structure constants from the whole (sum d_v^2) x n^2 product at once."""
-    products = np.concatenate([_block_products(end.field, s, s) for s in end.stacks.values()])
-    n = len(end.basis)
-    return end.coords_many(products).reshape(n, n, n)
-
-
-def test_chunked_table_equals_the_unchunked_one(end_modules):
-    big = a7_interval_sum([(0, 3), (0, 3), (1, 5), (2, 6), (3, 3), (0, 6)], seed=6)
-    ends = [_EndData(m) for m in [*end_modules, big]]
-    assert len(ends[-1].basis) >= 8
-    for end in ends:
-        assert np.array_equal(end.table, unchunked_table(end))
 
 
 # -- Hom systems on Python integers and by index scatter -----------------------
