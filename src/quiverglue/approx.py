@@ -47,9 +47,9 @@ from . import homology as hgy
 from .algebra import memo
 from .errors import KernelNotInV, NotSurjective, NotTilting, PreconditionFailed
 from .modcat import (
+    HomSpace,
     QModule,
     QMorphism,
-    _stacks,
     _trace_pairing,
     cokernel,
     decompose,
@@ -107,16 +107,15 @@ class _Target:
 
     def __init__(self, field, members: tuple[QModule, ...], j: int):
         target = members[j]
-        bases = [hom_basis(u, target) for u in members]
-        stacks = [_stacks(u, target, basis) for u, basis in zip(members, bases)]
+        homs = [hom_basis(u, target) for u in members]
         self.field = field
-        self.sizes = [len(basis) for basis in bases]
-        self.gram = _trace_pairing(field, stacks[j], stacks[j])
+        self.sizes = [len(hom) for hom in homs]
+        self.gram = _trace_pairing(field, homs[j])
         self.side, self.offsets = {}, {}
         for v, d in target.dims.items():
             parts = [
                 block.transpose(1, 0, 2).reshape(d, block.shape[0] * block.shape[2])
-                for block in (stack[v] for stack in stacks)
+                for block in (hom.stack(v) for hom in homs)
             ]
             self.offsets[v] = list(itertools.accumulate((part.shape[1] for part in parts), initial=0))
             self.side[v] = np.concatenate(parts, axis=1)
@@ -151,18 +150,19 @@ class _ApproxClass:
             self._targets[j] = _Target(self.field, self.members, j)
         return self._targets[j]
 
-    def composites(self, j: int, left: dict[str, np.ndarray], live: list[int]) -> dict[int, np.ndarray]:
+    def composites(self, j: int, left: HomSpace, live: list[int]) -> dict[int, np.ndarray]:
         """Per i in ``live``, the composites Hom(U_j, X) o Hom(U_i, U_j).
 
-        ``left`` stacks a basis of Hom(U_j, X).  Column (phi, g) of entry i
-        is phi o g flattened like ``QMorphism.to_vector``: at each vertex,
-        row (c, s) holds entry (c, s) of the composite; a vertex where X
-        or U_i is zero contributes no rows.
+        ``left`` is Hom(U_j, X).  Column (phi, g) of entry i is phi o g
+        flattened like ``QMorphism.to_vector``: at each vertex, row (c, s)
+        holds entry (c, s) of the composite; a vertex where X or U_i is
+        zero contributes no rows.
         """
         column = self.target(j)
-        n = next(iter(left.values())).shape[0]
+        n = len(left)
         pieces = {i: [] for i in live}
-        for v, phi in left.items():
+        for v in left.offsets:
+            phi = left.stack(v)
             _, t, m = phi.shape
             if not t:
                 continue
@@ -195,9 +195,8 @@ def minimal_right_approximation(x: QModule, add_list: list[QModule]) -> QMorphis
     """
     field = x.algebra.field
     cls = _approx_class(x.algebra, add_list)
-    homs = [hom_basis(u, x) for u in add_list]
-    to_x = [_stacks(u, x, basis) for u, basis in zip(add_list, homs)]
-    x_sizes = [len(basis) for basis in homs]
+    to_x = [hom_basis(u, x) for u in add_list]
+    x_sizes = [len(hom) for hom in to_x]
     live = [i for i in range(len(add_list)) if x_sizes[i]]
     columns = {j: cls.target(j) for j in live}
     # composites[i, j], column (phi, g): phi o g for phi in Hom(U_j, X) and
@@ -246,7 +245,7 @@ def minimal_right_approximation(x: QModule, add_list: list[QModule]) -> QMorphis
     if not slots:
         return zero_morphism(zero_module(x.algebra), x)
     u0 = direct_sum(x.algebra, [add_list[i] for i, _ in slots])
-    blocks = {v: np.hstack([to_x[i][v][k] for i, k in slots]) for v in x.dims}
+    blocks = {v: np.hstack([to_x[i].stack(v)[k] for i, k in slots]) for v in x.dims}
     return QMorphism(u0, x, blocks)
 
 

@@ -21,12 +21,14 @@ complement of the radical (``top_lifts``), so no top quotient is built.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import memo
 from .modcat import (
+    HomSpace,
     QModule,
     QMorphism,
     cokernel,
@@ -302,10 +304,10 @@ def _ext_compute(m: QModule, n: QModule, i: int) -> ExtGroup:
     full = hom_basis(syz, n)
     if not full:
         return ExtGroup(i, m, n, 0, ())
-    factoring = [g.compose(incl) for g in hom_basis(res.terms[i - 1], n)]
-    full_vecs = np.stack([f.to_vector() for f in full], axis=1)
-    if factoring:
-        fac_vecs = np.stack([f.to_vector() for f in factoring], axis=1)
+    enclosing = hom_basis(res.terms[i - 1], n)
+    full_vecs = full.rows.T
+    if enclosing:
+        fac_vecs = _factoring_vectors(enclosing, incl).T
         fac_coords = field.solve_matrix(full_vecs, fac_vecs)
         if fac_coords is None:
             raise RuntimeError("factoring maps escaped the hom space")
@@ -329,6 +331,22 @@ def _ext_compute(m: QModule, n: QModule, i: int) -> ExtGroup:
     return ExtGroup(i, m, n, dimension, tuple(cocycles))
 
 
+def _factoring_vectors(maps: HomSpace, incl: QMorphism) -> np.ndarray:
+    """Row r: the r-th basis map g of Hom(P, n) after incl: S -> P, flattened like ``QMorphism.to_vector``.
+
+    One product per vertex v where S and n are nonzero: the (r, a) rows of
+    g's blocks at v, side by side, times incl's block.
+    """
+    field = incl.source.algebra.field
+    k, parts = len(maps), []
+    for v in maps.offsets:
+        g = maps.stack(v)
+        t, s = g.shape[1], incl.source.dims[v]
+        if t and s:
+            parts.append(field.matmul(g.reshape(k * t, g.shape[2]), incl.blocks[v]).reshape(k, t * s))
+    return np.concatenate(parts, axis=1)
+
+
 def _ext_dim_from_complex(m: QModule, n: QModule, i: int) -> int:
     """dim Ext^i(m, n) as the cohomology of Hom(P_*, n) in Yoneda coordinates."""
     field = m.algebra.field
@@ -336,43 +354,55 @@ def _ext_dim_from_complex(m: QModule, n: QModule, i: int) -> int:
     dim_hom = sum(n.dims[v] for v in res.generators[i])
     if not dim_hom:
         return 0
-    actions: dict[int, np.ndarray] = {}
-    d_in = _yoneda_matrix(res, i, n, actions)
-    d_out = _yoneda_matrix(res, i + 1, n, actions)
+    d_in = _yoneda_matrix(res, i, n)
+    d_out = _yoneda_matrix(res, i + 1, n)
     return dim_hom - field.rank(d_out) - field.rank(d_in)
 
 
-def _yoneda_matrix(res: Resolution, k: int, n: QModule, actions: dict[int, np.ndarray]) -> np.ndarray:
+def _yoneda_plan(res: Resolution, k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The nonzero coefficients (g, h, q, c) of d_k: d_k(e_g) = sum c q e_h, q by basis index.
+
+    Built once per differential object: it does not depend on the target
+    of Ext(M, -), so every target reads the same plan.
+    """
+    d = res.differentials[k - 1]
+
+    def build() -> tuple[tuple[int, int, int, int], ...]:
+        algebra = d.source.algebra
+        sources, targets = res.generators[k], res.generators[k - 1]
+        plan = []
+        for g, y in enumerate(sources):
+            # e_g follows the residue paths to y of the summands before it
+            column = d.blocks[y][:, sum(len(algebra.basis_paths_between(x, y)) for x in sources[:g])]
+            # row r of the column is the coefficient of the r-th residue path q e_h of P_(k-1) at y
+            labels = [(h, q) for h, x in enumerate(targets) for q in algebra.basis_paths_between(x, y)]
+            plan += [(g, *labels[r], int(column[r])) for r in np.flatnonzero(column)]
+        return tuple(plan)
+
+    return memo(d.source.algebra, "yoneda_plan", d, build)
+
+
+def _yoneda_matrix(res: Resolution, k: int, n: QModule) -> np.ndarray:
     """The matrix of Hom(d_k, n): Hom(P_(k-1), n) -> Hom(P_k, n), for k >= 1.
 
     A map P(v) -> n is fixed by the image of e_v (Yoneda), so Hom(P_k, n)
     is the sum of n_(v_g) over the generators g of P_k.  If
     d_k(e_g) = sum c_(g,h,q) q e_h over residue paths q from v_h to v_g,
     then f o d_k sends e_g to sum c_(g,h,q) n(q) f(e_h): block (g, h) is
-    sum_q c_(g,h,q) n(q), with the c read off d_k's column at e_g.
-    ``actions`` caches n(q) by basis index q.
+    sum_q c_(g,h,q) n(q), with the c read off ``_yoneda_plan``.
     """
     algebra = n.algebra
     field = algebra.field
-    d = res.differentials[k - 1]
     sources, targets = res.generators[k], res.generators[k - 1]
-    row_offsets = np.cumsum([0] + [n.dims[v] for v in sources])
-    col_offsets = np.cumsum([0] + [n.dims[v] for v in targets])
-    out = field.zeros(int(row_offsets[-1]), int(col_offsets[-1]))
-    for g, y in enumerate(sources):
-        if not n.dims[y]:
+    row_offsets = list(accumulate((n.dims[v] for v in sources), initial=0))
+    col_offsets = list(accumulate((n.dims[v] for v in targets), initial=0))
+    out = field.zeros(row_offsets[-1], col_offsets[-1])
+    for g, h, q, c in _yoneda_plan(res, k):
+        if not (n.dims[sources[g]] and n.dims[targets[h]]):
             continue
-        # e_g follows the residue paths to y of the summands before it
-        column = d.blocks[y][:, sum(len(algebra.basis_paths_between(x, y)) for x in sources[:g])]
         rows = slice(row_offsets[g], row_offsets[g + 1])
-        # row r of the column is the coefficient of the r-th residue path q e_h of P_(k-1) at y
-        labels = [(h, q) for h, x in enumerate(targets) for q in algebra.basis_paths_between(x, y)]
-        for r in np.flatnonzero(column):
-            h, q = labels[r]
-            if q not in actions:
-                actions[q] = n.path_action(algebra.basis[q])
-            cols = slice(col_offsets[h], col_offsets[h + 1])
-            out[rows, cols] = field.add(out[rows, cols], field.scale(int(column[r]), actions[q]))
+        cols = slice(col_offsets[h], col_offsets[h + 1])
+        out[rows, cols] = field.add(out[rows, cols], field.scale(c, n.path_action(algebra.basis[q])))
     return out
 
 

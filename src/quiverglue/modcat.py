@@ -105,6 +105,7 @@ class QModule:
             if d < 0:
                 raise ValueError(f"negative dimension at vertex {v}")
         self.total_dim = sum(self.dims.values())
+        self._dim_vector = tuple(self.dims[v] for v in quiver.vertices)
         if self.total_dim >= field.p:
             raise FieldTooSmall(
                 f"total dimension {self.total_dim} needs a prime above it, have p={field.p}"
@@ -120,6 +121,8 @@ class QModule:
             if m.shape != (t, s):
                 raise ShapeMismatch(f"map for arrow {a.name} has shape {m.shape}, expected {(t, s)}")
             self.maps[a.name] = m
+        self._actions: dict[Path, np.ndarray] = {}
+        self._identity: QMorphism | None = None
         self._check_relations()
 
     def _check_relations(self) -> None:
@@ -134,18 +137,32 @@ class QModule:
     # -- basic queries --------------------------------------------------
 
     def dim_vector(self) -> tuple[int, ...]:
-        return tuple(self.dims[v] for v in self.algebra.quiver.vertices)
+        return self._dim_vector
 
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
     def path_action(self, path: Path) -> np.ndarray:
-        """The matrix by which a path acts: dims[source] -> dims[target]."""
-        field = self.algebra.field
-        m = field.identity(self.dims[path.source])
-        for name in path.arrows:
-            m = field.matmul(self.maps[name], m)
-        return m
+        """The matrix by which a path acts: dims[source] -> dims[target].
+
+        Cached per module and read-only.  A trivial path acts by the
+        identity and one arrow by a view of its map; a longer path costs
+        one product of its last arrow with its prefix's cached action.
+        """
+        action = self._actions.get(path)
+        if action is not None:
+            return action
+        if not path.arrows:
+            action = self.algebra.field.identity(self.dims[path.source])
+        elif len(path.arrows) == 1:
+            action = self.maps[path.arrows[0]].view()
+        else:
+            last = path.arrows[-1]
+            prefix = Path(path.source, self.algebra.quiver.arrow_by_name[last].source, path.arrows[:-1])
+            action = self.algebra.field.matmul(self.maps[last], self.path_action(prefix))
+        action.setflags(write=False)
+        self._actions[path] = action
+        return action
 
     def __repr__(self) -> str:
         return f"QModule({self.algebra.name}, dims={self.dim_vector()})"
@@ -265,8 +282,10 @@ class QMorphism:
 
 
 def identity_morphism(m: QModule) -> QMorphism:
-    field = m.algebra.field
-    return QMorphism._certified(m, m, {v: field.identity(m.dims[v]) for v in m.dims})
+    """The identity of m, built once per module; its blocks are the read-only trivial-path actions."""
+    if m._identity is None:
+        m._identity = QMorphism._certified(m, m, {v: m.path_action(Path(v, v, ())) for v in m.dims})
+    return m._identity
 
 
 def zero_morphism(source: QModule, target: QModule) -> QMorphism:
@@ -280,19 +299,61 @@ def zero_morphism(source: QModule, target: QModule) -> QMorphism:
 # -- hom spaces -----------------------------------------------------------
 
 
-def hom_basis(source: QModule, target: QModule) -> list[QMorphism]:
+class HomSpace(Sequence):
+    """A basis of Hom(source, target): the certified kernel rows K, read through views.
+
+    Row r of the read-only ``rows`` is the r-th basis map flattened like
+    ``QMorphism.to_vector``, and block X_v takes the ``t_v * s_v`` columns
+    from ``offsets[v]``.  ``stack(v)`` views them as an (n, t_v, s_v)
+    array; it is made per call and not stored, since the memo keeps every
+    hom space a glue solves and stored views would add to each.  The basis
+    morphisms, whose blocks are read-only views of K, are built on first
+    iteration or indexing.
+    """
+
+    def __init__(self, source: QModule, target: QModule, rows: np.ndarray, offsets: dict[str, int]):
+        rows.setflags(write=False)
+        self.source, self.target, self.rows, self.offsets = source, target, rows, offsets
+        self._maps: tuple[QMorphism, ...] | None = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        return self._morphisms()[index]
+
+    def __iter__(self):
+        return iter(self._morphisms())
+
+    def stack(self, v: str) -> np.ndarray:
+        """The blocks at v of every basis map, as one read-only (n, t_v, s_v) view of K."""
+        t, s, o = self.target.dims[v], self.source.dims[v], self.offsets[v]
+        return self.rows[:, o : o + t * s].reshape(len(self.rows), t, s)
+
+    def blocks(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """The blocks X_v of a vector laid out like a row of K."""
+        source, target = self.source.dims, self.target.dims
+        return {v: vec[o : o + target[v] * source[v]].reshape(target[v], source[v]) for v, o in self.offsets.items()}
+
+    def _morphisms(self) -> tuple[QMorphism, ...]:
+        if self._maps is None:
+            self._maps = tuple(QMorphism._certified(self.source, self.target, self.blocks(vec)) for vec in self.rows)
+        return self._maps
+
+
+def hom_basis(source: QModule, target: QModule) -> HomSpace:
     """A basis of Hom(source, target) as the kernel of all square equations.
 
-    Cached per (source, target) object pair; the returned list is fresh,
-    the morphisms are shared.
+    Cached per (source, target) object pair: every call returns the one
+    read-only ``HomSpace``, and its morphisms are shared.
     """
     if source.algebra is not target.algebra:
         raise AlgebraMismatch("hom requires a common algebra")
-    return list(memo(source.algebra, "hom", (source, target), lambda: _hom_basis_compute(source, target)))
+    return memo(source.algebra, "hom", (source, target), lambda: _hom_basis_compute(source, target))
 
 
-def _hom_basis_compute(source: QModule, target: QModule) -> tuple[QMorphism, ...]:
-    """A basis of the kernel K of the square equations, certified by one product system @ K == 0.
+def _hom_basis_compute(source: QModule, target: QModule) -> HomSpace:
+    """The kernel K of the square equations, certified by one product system @ K == 0.
 
     Unknowns are the blocks X_v (t_v x s_v, row-major).  The equation
     N_a X_u - X_w M_a = 0 of an arrow a: u -> w fills rows (i, j) of its
@@ -303,25 +364,18 @@ def _hom_basis_compute(source: QModule, target: QModule) -> tuple[QMorphism, ...
     both give the same K.  A system with no equation (no arrow runs from
     a vertex where the source is nonzero to one where the target is) is
     not eliminated: K is the identity, and the product would certify
-    nothing.  The basis blocks are read-only views of K, since the hom
-    memo shares them.
+    nothing.
     """
     offsets, total = _hom_layout(source, target)
     if total == 0:
-        return ()
+        return HomSpace(source, target, np.zeros((0, 0), dtype=np.int64), offsets)
     rows = sum(target.dims[a.target] * source.dims[a.source] for a in source.algebra.quiver.arrows)
     if not rows:
         # no arrow gives an equation, so every block is free: K is the identity
         vecs = source.algebra.field.identity(total)
     else:
         vecs = (_hom_kernel_rows if rows * total <= SMALL else _hom_kernel_scatter)(source, target)
-    vecs.setflags(write=False)
-    shapes = {v: (target.dims[v], source.dims[v]) for v in offsets}
-
-    def blocks(vec: np.ndarray) -> dict[str, np.ndarray]:
-        return {v: vec[offsets[v] : offsets[v] + t * s].reshape(t, s) for v, (t, s) in shapes.items()}
-
-    return tuple(QMorphism._certified(source, target, blocks(vec)) for vec in vecs)
+    return HomSpace(source, target, vecs, offsets)
 
 
 def _hom_layout(source: QModule, target: QModule) -> tuple[dict[str, int], int]:
@@ -683,23 +737,15 @@ def socle_submodule(m: QModule) -> tuple[QModule, QMorphism]:
 # -- decomposition ---------------------------------------------------------
 
 
-def _stacks(source: QModule, target: QModule, morphisms: Sequence[QMorphism]) -> dict[str, np.ndarray]:
-    """Per vertex, the blocks of ``morphisms`` (source -> target) as one (n, t_v, s_v) array."""
-    vertices = source.algebra.quiver.vertices
-    if not morphisms:
-        return {v: np.zeros((0, target.dims[v], source.dims[v]), dtype=np.int64) for v in vertices}
-    return {v: np.stack([f.blocks[v] for f in morphisms]) for v in vertices}
+def _trace_pairing(field, end: HomSpace) -> np.ndarray:
+    """Entry (i, j): the trace of b_i o b_j, for the basis b of an End(m).
 
-
-def _trace_pairing(field, left: dict[str, np.ndarray], right: dict[str, np.ndarray]) -> np.ndarray:
-    """Entry (i, j): the trace of left[i] o right[j], for stacks of maps M -> N and N -> M."""
-
-    def flat(a: np.ndarray) -> np.ndarray:
-        return a.reshape(a.shape[0], a.shape[1] * a.shape[2])
-
-    rows = np.concatenate([flat(a) for a in left.values()], axis=1)
-    cols = np.concatenate([flat(b.transpose(0, 2, 1)) for b in right.values()], axis=1)
-    return field.matmul(rows, cols.T)
+    Row i of K holds b_i's blocks; tr(b_i o b_j) pairs them with b_j's
+    blocks transposed.
+    """
+    n = len(end)
+    cols = [b.transpose(0, 2, 1).reshape(n, b.shape[1] * b.shape[2]) for b in map(end.stack, end.offsets)]
+    return field.matmul(end.rows, np.concatenate(cols, axis=1).T)
 
 
 def split_summands(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]]:
@@ -759,17 +805,16 @@ def _split_module_once(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]]
     n = len(basis)
     if n == 1:  # End(m) is the field itself
         return None
-    stacks = _stacks(m, m, basis)
     rng = Random(_SPLIT_SEED)
     residue_dim = None
     for _ in range(4096):
         coeffs = np.array([[rng.randrange(field.p) for _ in range(n)]], dtype=np.int64)
-        a = {v: field.matmul(coeffs, s.reshape(n, -1)).reshape(s.shape[1:]) for v, s in stacks.items()}
+        a = basis.blocks(field.matmul(coeffs, basis.rows)[0])
         components, degrees = _primary_components(field, a, rng)
         if len(components) > 1:
             return _split_into(m, components)
         if residue_dim is None:
-            residue_dim = field.rank(_trace_pairing(field, stacks, stacks))
+            residue_dim = field.rank(_trace_pairing(field, basis))
         if degrees[0] == residue_dim:
             return None
     raise RuntimeError("no splitting element found; raise the trial bound")

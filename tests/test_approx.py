@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hom_oracle import stacks
 
 from quiverglue import approx as approx_module
 from quiverglue import homology as hgy
@@ -24,7 +25,6 @@ from quiverglue.bundled import load_workspace
 from quiverglue.errors import KernelNotInV, NotSurjective, NotTilting, PreconditionFailed
 from quiverglue.modcat import (
     QModule,
-    _stacks,
     decompose,
     direct_sum,
     hom_basis,
@@ -196,13 +196,13 @@ def test_class_composites_equal_block_products(univ_a, univ_c, univ_b, side):
     cls = _approx_class(algebra, members)
     assert cls.members == tuple(members)
     for x in members:
-        to_x = [_stacks(u, x, hom_basis(u, x)) for u in members]
+        to_x = [stacks(u, x, list(hom_basis(u, x))) for u in members]
         live = [i for i, u in enumerate(members) if hom_basis(u, x)]
         for j in live:
-            composites = cls.composites(j, to_x[j], live)
+            composites = cls.composites(j, hom_basis(members[j], x), live)
             assert sorted(composites) == live
             for i in live:
-                right = _stacks(members[i], members[j], hom_basis(members[i], members[j]))
+                right = stacks(members[i], members[j], list(hom_basis(members[i], members[j])))
                 expected = np.concatenate(
                     [_block_products(algebra.field, to_x[j][v], right[v]) for v in algebra.quiver.vertices]
                 )

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quiverglue import QModule, QMorphism
+from quiverglue import PrimeField, QModule, QMorphism, Quiver, build_algebra
 from quiverglue import homology as hgy
 from quiverglue.modcat import (
     cokernel,
@@ -293,6 +295,52 @@ def test_euler_form_on_random_kronecker_modules(kronecker_modules):
 
 def test_euler_form_on_the_a7_interval_universe(a7_intervals):
     assert_euler_form(a7_intervals)
+
+
+def interval_sum(algebra, parts, rng):
+    """The sum of intervals [i, j] (0-based positions along the line) in a random basis per vertex."""
+    field = algebra.field
+    vertices = algebra.quiver.vertices
+    dims = {v: sum(i <= k <= j for i, j in parts) for k, v in enumerate(vertices)}
+    change = {}
+    for v in vertices:
+        g = None
+        while g is None or field.inverse(g) is None:
+            g = field.mat(rng.integers(0, field.p, size=(dims[v], dims[v])))
+        change[v] = g
+    position = {v: k for k, v in enumerate(vertices)}
+    maps = {}
+    for a in algebra.quiver.arrows:
+        s, t = position[a.source], position[a.target]
+        std = field.zeros(dims[a.target], dims[a.source])
+        row = col = 0
+        for i, j in parts:
+            at_s, at_t = i <= s <= j, i <= t <= j
+            if at_s and at_t:
+                std[row, col] = 1
+            row, col = row + at_t, col + at_s
+        maps[a.name] = field.matmul(field.matmul(change[a.target], std), field.inverse(change[a.source]))
+    return QModule(algebra, dims, maps)
+
+
+@st.composite
+def oriented_interval_sums(draw):
+    """Two sums of two intervals in random bases over A_n (n <= 7) with a random orientation."""
+    n = draw(st.integers(2, 7))
+    vertices = [str(v) for v in range(1, n + 1)]
+    arrows = [
+        (f"a{k}", *((v, w) if draw(st.booleans()) else (w, v))) for k, (v, w) in enumerate(zip(vertices, vertices[1:]))
+    ]
+    algebra = build_algebra(Quiver(vertices, arrows), [], field=PrimeField(101), name=f"A{n}")
+    intervals = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return [interval_sum(algebra, [draw(intervals), draw(intervals)], rng) for _ in range(2)]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(oriented_interval_sums())
+def test_euler_form_on_random_orientations_and_bases(modules):
+    assert_euler_form(modules)
 
 
 def test_resolution_indices_follow_the_degrees(workspace, bound_a3):

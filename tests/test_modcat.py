@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hom_oracle import stacks
 from kronecker_power import kronecker_projective_power
 
 from quiverglue import PrimeField, QModule, QMorphism, Quiver, build_algebra, relation
@@ -29,8 +30,8 @@ from quiverglue.errors import (
 )
 from quiverglue.glue import glue_tilting
 from quiverglue.modcat import (
+    HomSpace,
     Universe,
-    _stacks,
     cokernel,
     decompose,
     direct_sum,
@@ -142,8 +143,13 @@ def test_memo_contract():
     assert projective(first, "3") is p3
     basis = hom_basis(p3, p3)
     expected = list(basis)
-    basis.clear()
-    assert hom_basis(p3, p3) == expected
+    # the hom space is the memo's one read-only record: a caller can neither clear nor overwrite it
+    assert hom_basis(p3, p3) is basis and list(hom_basis(p3, p3)) == expected
+    assert not hasattr(basis, "clear")
+    with pytest.raises(TypeError):
+        basis[0] = expected[0]
+    with pytest.raises(ValueError, match="read-only"):
+        basis.rows[0, 0] = 1
     m = direct_sum(first, [p3, s4])
     parts = split_summands(m)
     expected = list(parts)
@@ -272,8 +278,8 @@ def record_trace_ranks(monkeypatch):
     """The rank of every trace form of End(m) that a split step computes from now on."""
     ranks, pairing = [], modcat._trace_pairing
 
-    def recording(field, left, right):
-        gram = pairing(field, left, right)
+    def recording(field, end):
+        gram = pairing(field, end)
         ranks.append(field.rank(gram))
         return gram
 
@@ -586,8 +592,7 @@ def test_end_radical_is_trace_form_kernel(end_modules):
         for i, bi in enumerate(basis):
             for j, bj in enumerate(basis):
                 gram[i, j] = bi.compose(bj).trace()
-        stacks = _stacks(m, m, basis)
-        assert np.array_equal(modcat._trace_pairing(field, stacks, stacks), gram)
+        assert np.array_equal(modcat._trace_pairing(field, basis), gram)
         radical = field.kernel_basis(gram)
         radicals.append(radical.shape[1])
         for coords in radical.T:
@@ -676,7 +681,8 @@ def test_split_does_not_depend_on_the_end_basis(kronecker_regular, monkeypatch):
                 f = f.add(b.scale(int(c)))
             return f
 
-        return tuple(combination(mix[:, k]) for k in range(len(basis)))
+        rows = np.array([combination(mix[:, k]).to_vector() for k in range(len(basis))], dtype=np.int64)
+        return HomSpace(source, target, rows, basis.offsets)
 
     monkeypatch.setattr(modcat, "_hom_basis_compute", random_end_basis)
     s1, s2 = simple(u.algebra, "1"), simple(u.algebra, "2")
@@ -1236,6 +1242,7 @@ def test_a_hom_system_without_equations_is_not_eliminated(a2, monkeypatch, size)
     monkeypatch.setattr(modcat, "_hom_kernel_rows", refuse)
     monkeypatch.setattr(modcat, "_hom_kernel_scatter", refuse)
     basis = modcat._hom_basis_compute(m, m)
+    assert np.array_equal(basis.rows, expected[0])
     assert np.array_equal(np.array([f.to_vector() for f in basis]), expected[0])
     for f in basis:
         assert_revalidates(f)
@@ -1311,3 +1318,70 @@ def test_hom_from_projectives_and_double_duals(pair, seed):
     back = dualize_morphism(dualize_morphism(f))
     assert back.source is m and back.target is n
     assert all(np.array_equal(back.blocks[v], f.blocks[v]) for v in m.dims)
+
+
+# -- hom spaces as views of their kernel rows -------------------------------------
+
+
+@closure_settings
+@given(module_pairs())
+def test_hom_space_views_and_rows_match_the_basis_maps(pair):
+    # each per-vertex view is the stack of the basis maps' blocks, each row a map's to_vector, and
+    # Ext's batched factoring vectors are the composites g o incl of the enclosing projective's maps
+    m, n = pair
+    vertices = m.algebra.quiver.vertices
+    for source, target in ((m, n), (n, m), (m, m)):
+        space = hom_basis(source, target)
+        maps = list(space)
+        expected = stacks(source, target, maps)
+        assert all(np.array_equal(space.stack(v), expected[v]) for v in vertices)
+        assert space.rows.shape == (len(maps), sum(source.dims[v] * target.dims[v] for v in vertices))
+        assert all(np.array_equal(row, f.to_vector()) for row, f in zip(space.rows, maps))
+    res = hgy.projective_resolution(m, 2)
+    for k in (1, 2):
+        syz, incl = res.syzygies[k - 1]
+        enclosing = hom_basis(res.terms[k - 1], n)
+        if enclosing and any(syz.dims[v] * n.dims[v] for v in vertices):
+            vecs = hgy._factoring_vectors(enclosing, incl)
+            assert vecs.tolist() == [g.compose(incl).to_vector().tolist() for g in enclosing]
+
+
+# -- cached path actions and identities ---------------------------------------------
+
+
+def naive_action(m, path):
+    """The action of a path from the identity, one arrow at a time."""
+    field = m.algebra.field
+    action = field.identity(m.dims[path.source])
+    for name in path.arrows:
+        action = field.matmul(m.maps[name], action)
+    return action
+
+
+def test_cached_path_actions_equal_the_naive_chain(workspace):
+    # longest paths first, on fresh copies, so a basis path's prefixes are first computed inside it
+    # (the constructor's relation check has already computed the relation paths)
+    total = workspace.recollement.total
+    assert total.relations
+    modules = [*workspace.universe_b.modules(), a7_interval_sum([(0, 4), (2, 6), (1, 3)], seed=6)]
+    for m in map(unshared, modules):
+        algebra = m.algebra
+        paths = [*algebra.basis, *(path for rel in algebra.relations for _, path in rel.terms)]
+        for path in sorted(paths, key=lambda path: -len(path.arrows)):
+            action = m.path_action(path)
+            assert action is m.path_action(path)
+            assert np.array_equal(action, naive_action(m, path))
+            if action.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    action[0, 0] = 1
+
+
+def test_the_identity_is_built_once_with_read_only_blocks(workspace):
+    m = unshared(workspace.universe_b.module("(P(1)|P(3))"))
+    ident = identity_morphism(m)
+    assert identity_morphism(m) is ident
+    for v, block in ident.blocks.items():
+        assert np.array_equal(block, np.eye(m.dims[v], dtype=np.int64))
+        if block.size:
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 0
