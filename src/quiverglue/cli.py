@@ -307,6 +307,10 @@ def main(argv: list[str] | None = None) -> int:
     except QuiverglueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except RuntimeError as exc:
+        # a certificate that fails (Ext's two routes disagree, system @ K != 0) raises RuntimeError
+        print(f"verification mismatch: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 def run() -> None:

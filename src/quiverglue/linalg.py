@@ -15,18 +15,20 @@ k * (p-1)**2 would pass 2**63 - 1 (at p = 32003, k above about
 instead, reducing each block mod p.
 
 Elimination (``rref``, ``kernel_basis``, ``solve_matrix`` and what is
-built on them) has two routes with the same output, since the reduced
-form is unique.  An input of at most ``SMALL`` cells is reduced on lists
-of Python integers, where numpy's per-call overhead would cost more than
-the arithmetic; this is the base case of dense elimination over
-word-size primes (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
-``BENCH_small_exact.json`` times both routes on every recorded input of
-the three benchmark workloads.  A larger input is reduced on int64
-arrays: a pivot column with three or more other nonzero entries is
-cleared with one rank-one update of the columns from the pivot on,
-a sparser one row by row.  Either way each entry takes one product of
-residues and is reduced before the next pivot, so it needs only the
-first bound.
+built on them: ``rank``, ``image_basis``, ``inverse``) reads one reduced
+form, and ``PrimeField._reduce`` alone picks the route that computes it.
+The form is unique, so the route never changes an answer.  An input of
+at most ``SMALL`` cells is reduced on lists of Python integers, where
+numpy's per-call overhead would cost more than the arithmetic; this is
+the base case of dense elimination over word-size primes (Dumas,
+Giorgi & Pernet, ACM TOMS 35(3), 2008).  ``BENCH_small_exact.json``
+times both routes on every recorded input of the three benchmark
+workloads.  A larger input is reduced on int64 arrays: a pivot column
+with three or more other nonzero entries is cleared with one rank-one
+update of the columns from the pivot on, a sparser one row by row.
+Either way each entry takes one product of residues and is reduced
+before the next pivot, so it needs only the first bound.  Each reader
+indexes the reduced rows as ``row[col]``, which lists and arrays share.
 
 Polynomials (characteristic polynomials and their factors over F_p) are
 lists of Python integers, so their products never overflow at any
@@ -145,24 +147,28 @@ class PrimeField:
 
     # -- elimination ---------------------------------------------------
 
+    def _reduce(self, m: np.ndarray) -> tuple[list[list[int]] | np.ndarray, list[int]]:
+        """The reduced form of ``m`` and its pivot columns; the one place the route is decided.
+
+        Rows of Python integers from ``reduce_rows`` at most ``SMALL``
+        cells, else an int64 array from ``_rref_numpy``.
+        """
+        if m.size <= SMALL:
+            return self.reduce_rows(np.mod(m, self.p).tolist())
+        return self._rref_numpy(m)
+
     def rref(self, m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
         """Reduced row-echelon form.
 
         Returns ``(R, pivots, rank)`` where ``R`` is row-equivalent to
         ``m``, pivot columns are strictly increasing and pivot entries
-        are 1 with zeros above and below.  The form is unique, so the
-        route does not change it: an input of at most ``SMALL`` cells is
-        reduced by ``reduce_rows`` on Python integers, a larger one by
-        ``_rref_numpy`` (``BENCH_small_exact.json`` times both on every
-        recorded input of the benchmark workloads).  An input with no rows or no columns is already
-        reduced: its form is zero, with no pivots.
+        are 1 with zeros above and below.  An input with no rows or no
+        columns is already reduced: its form is zero, with no pivots.
         """
         if not m.size:
             return np.zeros(m.shape, dtype=np.int64), [], 0
-        if m.size <= SMALL:
-            r, pivots = self.reduce_rows(np.mod(m, self.p).tolist())
-            return np.array(r, dtype=np.int64).reshape(m.shape), pivots, len(pivots)
-        return self._rref_numpy(m)
+        r, pivots = self._reduce(m)
+        return np.asarray(r, dtype=np.int64).reshape(m.shape), pivots, len(pivots)
 
     def reduce_rows(self, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         """Gauss-Jordan reduction of a matrix given as rows of residues 0..p-1 (Python ints).
@@ -197,22 +203,8 @@ class PrimeField:
                 break
         return r, pivots
 
-    def kernel_vectors(self, rows: list[list[int]], cols: int) -> list[list[int]]:
-        """The columns of ``kernel_basis`` as lists, for a matrix given as ``reduce_rows`` takes it."""
-        r, pivots = self.reduce_rows(rows)
-        pivot_set = set(pivots)
-        vectors = []
-        for free in range(cols):
-            if free not in pivot_set:
-                vec = [0] * cols
-                vec[free] = 1
-                for row, pc in zip(r, pivots):
-                    vec[pc] = -row[free] % self.p
-                vectors.append(vec)
-        return vectors
-
-    def _rref_numpy(self, m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
-        """``rref`` on int64 arrays, the route for inputs above ``SMALL`` cells.
+    def _rref_numpy(self, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """The reduced form and pivot columns on int64 arrays, the route above ``SMALL`` cells.
 
         A pivot column with three or more other nonzero entries is
         cleared with one rank-one update, a sparser one with one row
@@ -249,7 +241,7 @@ class PrimeField:
                         r[other] = np.mod(r[other] - r[other, col] * r[row], self.p)
             pivots.append(col)
             row += 1
-        return r, pivots, len(pivots)
+        return r, pivots
 
     def rank(self, m: np.ndarray) -> int:
         return self.rref(m)[2]
@@ -259,61 +251,37 @@ class PrimeField:
         cols = m.shape[1]
         if not m.size:
             return self.identity(cols)
-        if m.size <= SMALL:
-            vectors = self.kernel_vectors(np.mod(m, self.p).tolist(), cols)
-            return np.array(vectors, dtype=np.int64).reshape(len(vectors), cols).T.copy()
-        return self._kernel_numpy(m)
-
-    def _kernel_numpy(self, m: np.ndarray) -> np.ndarray:
-        """``kernel_basis`` read off ``_rref_numpy``."""
-        cols = m.shape[1]
-        r, pivots, rank = self._rref_numpy(m)
-        free = [c for c in range(cols) if c not in pivots]
-        basis = self.zeros(cols, len(free))
-        for k, fc in enumerate(free):
-            basis[fc, k] = 1
-            for i, pc in enumerate(pivots):
-                basis[pc, k] = (-r[i, fc]) % self.p
-        return basis
+        r, pivots = self._reduce(m)
+        pivot_set = set(pivots)
+        vectors = []
+        for free in range(cols):
+            if free not in pivot_set:
+                vec = [0] * cols
+                vec[free] = 1
+                for row, pc in zip(r, pivots):
+                    vec[pc] = -row[free] % self.p
+                vectors.append(vec)
+        return np.array(vectors, dtype=np.int64).reshape(len(vectors), cols).T.copy()
 
     def image_basis(self, m: np.ndarray) -> np.ndarray:
         """Columns of ``m`` forming a basis of the column space."""
         _, pivots, _ = self.rref(m)
         return m[:, pivots].copy()
 
-    def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        """One solution of ``a @ x = b`` or None when inconsistent."""
-        x = self.solve_matrix(a, b.reshape(-1, 1) if b.ndim == 1 else b)
-        if x is None:
-            return None
-        return x[:, 0] if b.ndim == 1 else x
-
     def solve_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        """One solution of ``a @ X = b`` column-wise, or None."""
+        """One solution of ``a @ X = b`` column-wise (free unknowns zero), or None.
+
+        A pivot of the reduced ``[a | b]`` among the columns of ``b`` means no solution.
+        """
         if a.shape[0] != b.shape[0]:
             raise ShapeMismatch(f"cannot solve {a.shape} X = {b.shape}")
-        rows, cols = a.shape
-        if rows * (cols + b.shape[1]) <= SMALL:
-            aug = [ra + rb for ra, rb in zip(np.mod(a, self.p).tolist(), np.mod(b, self.p).tolist())]
-            r, pivots = self.reduce_rows(aug)
-            if pivots and pivots[-1] >= cols:
-                return None
-            x = [[0] * b.shape[1] for _ in range(cols)]
-            for row, pc in zip(r, pivots):
-                x[pc] = row[cols:]
-            return np.array(x, dtype=np.int64).reshape(cols, b.shape[1])
-        return self._solve_numpy(a, b)
-
-    def _solve_numpy(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        """``solve_matrix`` read off ``_rref_numpy`` of the augmented matrix."""
         cols = a.shape[1]
-        aug = np.hstack([a, np.mod(b, self.p)])
-        r, pivots, rank = self._rref_numpy(aug)
-        if any(pc >= cols for pc in pivots):
+        r, pivots = self._reduce(np.concatenate((a, b), axis=1))
+        if pivots and pivots[-1] >= cols:
             return None
         x = self.zeros(cols, b.shape[1])
-        for i, pc in enumerate(pivots):
-            x[pc] = r[i, cols:]
+        for row, pc in zip(r, pivots):
+            x[pc] = row[cols:]
         return x
 
     def inverse(self, m: np.ndarray) -> np.ndarray | None:
@@ -323,10 +291,7 @@ class PrimeField:
             raise ShapeMismatch(f"cannot invert non-square {m.shape}")
         if n == 0:
             return self.zeros(0, 0)
-        x = self.solve_matrix(m, self.identity(n))
-        if x is None:
-            return None
-        return x
+        return self.solve_matrix(m, self.identity(n))
 
     # -- polynomials ---------------------------------------------------
     # A polynomial is a list of residues (Python ints), lowest degree

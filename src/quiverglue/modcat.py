@@ -6,15 +6,16 @@ the algebra evaluates to zero.  Morphisms are vertex-indexed blocks
 making every arrow square commute.
 
 Modules and morphisms are immutable.  ``QModule`` and ``QMorphism``
-validate eagerly (relations, arrow squares), so a construction bug fails
-loudly where an invalid object would first exist; entries must have an
-integer dtype, and nothing is truncated or cast.  Morphisms a caller
-builds, factorizations, induced maps and approximation maps go through
-``QMorphism``.  Three kinds are certified by construction (``QMorphism._certified``): hom
-bases, whose square equations are built row by row on Python integers up
-to ``SMALL`` cells and by index scatter only above that, and certified as
-a whole by one product ``system @ K == 0`` (read-only blocks, as the hom
-memo shares them); derived arithmetic (zero maps,
+validate eagerly (vertex and arrow names, relations, arrow squares), so
+a construction bug fails loudly where an invalid object would first
+exist; entries must have an integer dtype, and nothing is truncated or
+cast.  Morphisms a caller builds, factorizations, induced maps and
+approximation maps go through ``QMorphism``.  Three kinds are certified
+by construction (``QMorphism._certified``): hom bases, whose square
+equations are built row by row on Python integers, reduced by
+``PrimeField.kernel_basis`` on the route the system's size picks, and
+certified as a whole by one product ``system @ K == 0`` (read-only
+blocks, as the hom memo shares them); derived arithmetic (zero maps,
 compose, add, scale, inverse, identity, dual), which is closed on valid
 morphisms; and canonical maps whose squares are the equations that
 built them (sub-module inclusions, whose arrow maps are solved from
@@ -85,9 +86,9 @@ from .errors import (
     FieldTooSmall,
     ShapeMismatch,
     UniverseInconsistent,
+    UnknownName,
     UnknownVertex,
 )
-from .linalg import SMALL
 
 # start of the fixed sequence that every splitting step draws its element from
 _SPLIT_SEED = 0xC0FFEE
@@ -101,6 +102,10 @@ class QModule:
         field = algebra.field
         quiver = algebra.quiver
         self.dims = {v: int(dims.get(v, 0)) for v in quiver.vertices}
+        if dims.keys() - self.dims.keys():
+            raise UnknownVertex(f"unknown vertices {sorted(dims.keys() - self.dims.keys())}")
+        if maps.keys() - quiver.arrow_by_name.keys():
+            raise UnknownName(f"unknown arrows {sorted(maps.keys() - quiver.arrow_by_name.keys())}")
         for v, d in self.dims.items():
             if d < 0:
                 raise ValueError(f"negative dimension at vertex {v}")
@@ -183,6 +188,8 @@ class QMorphism:
         self.source = source
         self.target = target
         field = source.algebra.field
+        if blocks.keys() - source.dims.keys():
+            raise UnknownVertex(f"unknown vertices {sorted(blocks.keys() - source.dims.keys())}")
         self.blocks = {}
         for v in source.algebra.quiver.vertices:
             t, s = target.dims[v], source.dims[v]
@@ -358,42 +365,32 @@ def _hom_basis_compute(source: QModule, target: QModule) -> HomSpace:
     Unknowns are the blocks X_v (t_v x s_v, row-major).  The equation
     N_a X_u - X_w M_a = 0 of an arrow a: u -> w fills rows (i, j) of its
     block: column (u, k, j) gets N_a[i, k] and column (w, i, l) gets
-    -M_a[l, j].  A system of at most ``SMALL`` cells is built row by row
-    on Python integers and reduced there (``_hom_kernel_rows``), a larger
-    one by index scatter into an int64 array (``_hom_kernel_scatter``);
-    both give the same K.  A system with no equation (no arrow runs from
-    a vertex where the source is nonzero to one where the target is) is
-    not eliminated: K is the identity, and the product would certify
-    nothing.
+    -M_a[l, j].  ``_hom_kernel`` assembles them and reads K off
+    ``PrimeField.kernel_basis``, which picks the elimination route by
+    the system's size.  A system with no equation (no arrow runs from a
+    vertex where the source is nonzero to one where the target is) has
+    no cells, so ``kernel_basis`` returns the identity without
+    eliminating.
     """
-    offsets, total = _hom_layout(source, target)
-    if total == 0:
-        return HomSpace(source, target, np.zeros((0, 0), dtype=np.int64), offsets)
-    rows = sum(target.dims[a.target] * source.dims[a.source] for a in source.algebra.quiver.arrows)
-    if not rows:
-        # no arrow gives an equation, so every block is free: K is the identity
-        vecs = source.algebra.field.identity(total)
-    else:
-        vecs = (_hom_kernel_rows if rows * total <= SMALL else _hom_kernel_scatter)(source, target)
-    return HomSpace(source, target, vecs, offsets)
-
-
-def _hom_layout(source: QModule, target: QModule) -> tuple[dict[str, int], int]:
-    """The offset of each block X_v among the unknowns, and their number."""
-    offsets = {}
-    total = 0
+    offsets, total = {}, 0
     for v in source.algebra.quiver.vertices:
         offsets[v] = total
         total += target.dims[v] * source.dims[v]
-    return offsets, total
+    if total == 0:
+        return HomSpace(source, target, np.zeros((0, 0), dtype=np.int64), offsets)
+    return HomSpace(source, target, _hom_kernel(source, target, offsets, total), offsets)
 
 
-def _hom_kernel_rows(source: QModule, target: QModule) -> np.ndarray:
-    """The rows of K^T, from the square equations assembled as lists of Python integers."""
+def _hom_kernel(source: QModule, target: QModule, offsets: dict[str, int], total: int) -> np.ndarray:
+    """The rows of K^T, certified by system @ K == 0.
+
+    The square equations are built row by row on Python integers and
+    converted to int64 once.  A system without equations has the
+    identity as its kernel, and there is nothing to certify.
+    """
     field = source.algebra.field
     p = field.p
-    offsets, total = _hom_layout(source, target)
-    system = []
+    equations = []
     for a in source.algebra.quiver.arrows:
         s_u, s_w = source.dims[a.source], source.dims[a.target]
         o_u, o_w = offsets[a.source], offsets[a.target]
@@ -406,42 +403,13 @@ def _hom_kernel_rows(source: QModule, target: QModule) -> np.ndarray:
                 for l in range(s_w):
                     c = o_w + i * s_w + l
                     row[c] = (row[c] - m_a[l][j]) % p
-                system.append(row)
-    vectors = field.kernel_vectors(system, total)
-    kernel = np.array(vectors, dtype=np.int64).reshape(len(vectors), total)
-    _certify_hom_kernel(source, target, np.array(system, dtype=np.int64).reshape(len(system), total), kernel.T)
-    return kernel
-
-
-def _hom_kernel_scatter(source: QModule, target: QModule) -> np.ndarray:
-    """The rows of K^T, from the square equations scattered into an int64 array by index."""
-    field = source.algebra.field
-    quiver = source.algebra.quiver
-    offsets, total = _hom_layout(source, target)
-    row_counts = [target.dims[a.target] * source.dims[a.source] for a in quiver.arrows]
-    system = np.zeros((sum(row_counts), total), dtype=np.int64)
-    row = 0
-    for a, n_rows in zip(quiver.arrows, row_counts):
-        if not n_rows:
-            continue
-        t_u, t_w = target.dims[a.source], target.dims[a.target]
-        s_u, s_w = source.dims[a.source], source.dims[a.target]
-        block = system[row : row + n_rows].reshape(t_w, s_u, total)
-        i = np.arange(t_w).reshape(-1, 1, 1)
-        j = np.arange(s_u).reshape(1, -1, 1)
-        block[i, j, offsets[a.source] + np.arange(t_u) * s_u + j] = target.maps[a.name][:, None, :]
-        block[i, j, offsets[a.target] + i * s_w + np.arange(s_w)] -= source.maps[a.name].T[None, :, :]
-        row += n_rows
-    np.mod(system, field.p, out=system)
+                equations.append(row)
+    system = np.array(equations, dtype=np.int64).reshape(len(equations), total)
     kernel = field.kernel_basis(system)
-    _certify_hom_kernel(source, target, system, kernel)
-    return kernel.T.copy()
-
-
-def _certify_hom_kernel(source: QModule, target: QModule, system: np.ndarray, kernel: np.ndarray) -> None:
-    if source.algebra.field.matmul(system, kernel).any():
+    if equations and field.matmul(system, kernel).any():
         pair = f"{source.dim_vector()} -> {target.dim_vector()}"
         raise RuntimeError(f"hom kernel certificate failed: system @ K != 0 for {pair}")
+    return kernel.T.copy()
 
 
 def hom_dim(source: QModule, target: QModule) -> int:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from quiverglue import homology
 from quiverglue.bundled import data_path
 from quiverglue.cli import main
 
@@ -162,6 +163,14 @@ def test_cold_reproduce_imports_no_numpy_random(tmp_path):
     imports = [line for line in out.stderr.decode().splitlines() if line.startswith("import time:")]
     assert any(line.rstrip().endswith(" quiverglue.glue") for line in imports)
     assert not [line for line in imports if "numpy.random" in line]
+
+
+def test_a_failing_certificate_is_a_verification_mismatch(capsys, monkeypatch):
+    # Ext's complex route disagrees with its syzygy route, so the certificate raises RuntimeError
+    monkeypatch.setattr(homology, "_ext_dim_from_complex", lambda m, n, i: 99)
+    code, out, err = run(capsys, "reproduce", "5-2")
+    assert code == 2
+    assert "verification mismatch: Ext^" in err and "dimension mismatch" in err
 
 
 def test_reproduce_at_a_large_prime(capsys):

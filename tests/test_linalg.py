@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quiverglue import QModule, hom_basis, linalg
 from quiverglue.errors import NonIntegerEntries, PreconditionFailed, ShapeMismatch
-from quiverglue.linalg import SMALL, PrimeField
+from quiverglue.linalg import INT64_MAX, SMALL, PrimeField
 
 
 @pytest.fixture(scope="module")
@@ -43,13 +44,13 @@ def test_rref_rank_one(f101):
 
 def test_solve_identity(f101):
     b = f101.mat([[5], [7], [11]])
-    x = f101.solve(f101.identity(3), b)
+    x = f101.solve_matrix(f101.identity(3), b)
     assert np.array_equal(x, b)
 
 
 def test_solve_inconsistent(f101):
     a = f101.mat([[1, 0], [1, 0]])
-    assert f101.solve(a, f101.mat([[1], [2]])) is None
+    assert f101.solve_matrix(a, f101.mat([[1], [2]])) is None
 
 
 def test_kernel_of_zero_map(f101):
@@ -102,7 +103,7 @@ def test_solve_solutions_differ_by_kernel(seed):
         a = field.mat(rng.integers(0, 101, size=(rows, cols)))
         x0 = field.mat(rng.integers(0, 101, size=(cols, 1)))
         b = field.matmul(a, x0)
-        x = field.solve(a, b)
+        x = field.solve_matrix(a, b)
         assert x is not None
         diff = field.sub(x0, x)
         # the difference must solve the homogeneous system
@@ -160,19 +161,19 @@ def test_integer_dtypes_reduce_exactly(f101):
     assert f101.mat([]).shape == (0, 1)
 
 
-def test_eliminations_leave_python_ints_past_small_cells(monkeypatch):
-    field = PrimeField(101)
-    routes = []
-    for name in ("_rref_numpy", "_kernel_numpy", "_solve_numpy"):
-        original = getattr(PrimeField, name)
-        monkeypatch.setattr(PrimeField, name, lambda self, *a, _f=original, _n=name: routes.append(_n) or _f(self, *a))
-    m = np.ones((1, SMALL), dtype=np.int64)
-    # a solve eliminates the system next to its right-hand side
-    field.rref(m), field.kernel_basis(m), field.solve_matrix(m[:, 1:], m[:, :1])
-    assert routes == []
-    m = np.ones((1, SMALL + 1), dtype=np.int64)
-    field.rref(m), field.kernel_basis(m), field.solve_matrix(m[:, 1:], m[:, :1])
-    assert routes == ["_rref_numpy", "_kernel_numpy", "_rref_numpy", "_solve_numpy", "_rref_numpy"]
+def test_eliminations_leave_python_ints_past_small_cells(a2, monkeypatch):
+    field = a2.field
+    eliminated = []
+    original = PrimeField._rref_numpy
+    monkeypatch.setattr(PrimeField, "_rref_numpy", lambda self, m: eliminated.append(m.size) or original(self, m))
+    for cells in (SMALL, SMALL + 1):
+        m = np.ones((1, cells), dtype=np.int64)
+        # a solve eliminates the system next to its right-hand side
+        field.rref(m), field.kernel_basis(m), field.solve_matrix(m[:, 1:], m[:, :1])
+        # Hom(source, target) over 1 -> 2 is one equation in 1 * (cells - half) + half * 1 unknowns
+        half = cells // 2
+        hom_basis(QModule(a2, {"1": 1, "2": half}, {}), QModule(a2, {"1": cells - half, "2": 1}, {}))
+    assert eliminated == [SMALL + 1] * 4
 
 
 # -- elimination against Gauss-Jordan over Python ints -----------------------------
@@ -225,6 +226,16 @@ def sparse_to_dense_matrices(draw):
     return p, m
 
 
+def on_both_routes(eliminate):
+    """``eliminate()`` with every input reduced on Python integers, then with every one on int64 arrays."""
+    out = []
+    for small in (INT64_MAX, -1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "SMALL", small)
+            out.append(eliminate())
+    return out
+
+
 def near_the_size_bound(p: int, shape: tuple[int, int], seed: int) -> tuple[int, np.ndarray]:
     """A matrix of rank at most 3 with ``shape``, whose size sits at ``SMALL`` or just past it."""
     rng = np.random.default_rng(seed)
@@ -256,15 +267,16 @@ def test_elimination_equals_gauss_jordan_over_python_ints(case):
     expected, expected_pivots = gauss_jordan(m.tolist(), cols, p)
     assert r.dtype == np.int64 and r.shape == m.shape
     assert r.tolist() == expected and pivots == expected_pivots and rank == len(pivots) == field.rank(m)
-    r_np, pivots_np, rank_np = field._rref_numpy(m)
-    assert r_np.dtype == np.int64 and r_np.tobytes() == r.tobytes() and (pivots_np, rank_np) == (pivots, rank)
+    for r_route, pivots_route, rank_route in on_both_routes(lambda: field.rref(m)):
+        assert r_route.dtype == np.int64 and r_route.tobytes() == r.tobytes()
+        assert (pivots_route, rank_route) == (pivots, rank)
     # a @ X = b is solved for b = a @ Y, and a zero a with rows reaches no nonzero b
     y = np.arange(2 * cols, dtype=np.int64).reshape(cols, 2)
     b = np.array((m.astype(object) @ y.astype(object)) % p, dtype=np.int64).reshape(rows, 2)
     x = field.solve_matrix(m, b)
     assert x.shape == (cols, 2) and not np.any((m.astype(object) @ x.astype(object) - b) % p)
-    x_np = field._solve_numpy(m, b)
-    assert x.dtype == x_np.dtype == np.int64 and x.tobytes() == x_np.tobytes()
+    for x_route in on_both_routes(lambda: field.solve_matrix(m, b)):
+        assert x.dtype == x_route.dtype == np.int64 and x.tobytes() == x_route.tobytes()
     assert field.solve_matrix(m, np.zeros((rows, 0), dtype=np.int64)).shape == (cols, 0)
     if rows and not m.any():
         assert field.solve_matrix(m, np.ones((rows, 1), dtype=np.int64)) is None
@@ -274,15 +286,16 @@ def test_elimination_equals_gauss_jordan_over_python_ints(case):
         _, pivots_t = gauss_jordan(m.T.tolist(), rows, p)
         outside = np.zeros((rows, 1), dtype=np.int64)
         outside[next(k for k in range(rows) if k not in pivots_t)] = 1
-        assert field.solve_matrix(m, outside) is None and field._solve_numpy(m, outside) is None
+        assert on_both_routes(lambda: field.solve_matrix(m, outside)) == [None, None]
     kernel = field.kernel_basis(m)
     free = [c for c in range(cols) if c not in pivots]
     assert kernel.shape == (cols, cols - rank)
     assert kernel[free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
     assert not np.any((m.astype(object) @ kernel.astype(object)) % p)
     assert ((0 <= kernel) & (kernel < p)).all()
-    kernel_np = field._kernel_numpy(m)
-    assert kernel.dtype == kernel_np.dtype and kernel.flags.c_contiguous and kernel.tobytes() == kernel_np.tobytes()
+    for kernel_route in on_both_routes(lambda: field.kernel_basis(m)):
+        assert kernel_route.dtype == np.int64 and kernel_route.flags.c_contiguous
+        assert kernel_route.tobytes() == kernel.tobytes()
 
 
 # -- polynomials: characteristic polynomials and their factors ------------------

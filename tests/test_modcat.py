@@ -27,6 +27,8 @@ from quiverglue.errors import (
     NonIntegerEntries,
     ShapeMismatch,
     UniverseInconsistent,
+    UnknownName,
+    UnknownVertex,
 )
 from quiverglue.glue import glue_tilting
 from quiverglue.modcat import (
@@ -72,6 +74,18 @@ def test_morphism_rejects_non_integer_blocks(a2, non_integer):
     s1 = simple(a2, "1")
     with pytest.raises(NonIntegerEntries, match="got dtype"):
         QMorphism(s1, s1, {"1": non_integer})
+
+
+def test_unknown_vertices_and_arrows_are_refused(a2):
+    # over 1 -> 2 (arrow d) there is no vertex 3, 9 or arrow b to drop silently
+    with pytest.raises(UnknownVertex, match="'3'"):
+        QModule(a2, {"1": 1, "3": 5}, {"b": [[1]]})
+    with pytest.raises(UnknownName, match="'b'"):
+        QModule(a2, {"1": 1, "2": 1}, {"b": [[1]]})
+    m = QModule(a2, {"1": 1, "2": 1}, {"d": [[1]]})
+    with pytest.raises(UnknownVertex, match="'9'"):
+        QMorphism(m, m, {"9": [[1]]})
+    assert QMorphism(m, m, {"1": [[1]], "2": [[1]]}).to_vector().tolist() == [1, 1]
 
 
 def test_projective_hom_formula_exhaustive(workspace):
@@ -487,31 +501,24 @@ def test_hom_basis_morphisms_revalidate(hom_pairs):
 def test_hom_kernel_certificate_catches_a_corrupted_column(workspace):
     universe = workspace.universe_b
     m = universe.module("(P(1)|P(3))")
-    system = kron_system(m, m)
-    assert modcat._hom_basis_compute(m, m)
-    # adding a unit vector outside the kernel to the first basis vector leaves the
-    # kernel, on the list route and on the array route alike
-    bad = int(np.flatnonzero(system.any(axis=0))[0])
-    kernel_vectors, kernel_basis = PrimeField.kernel_vectors, PrimeField.kernel_basis
+    # Hom(m, m) has 16 cells and Hom(m + m, m + m) 256, so the two systems are
+    # reduced on the list route and on the array route
+    kernel_basis = PrimeField.kernel_basis
+    for module in (m, direct_sum(universe.algebra, [m, m])):
+        system = kron_system(module, module)
+        assert modcat._hom_basis_compute(module, module)
+        # adding a unit vector outside the kernel to the first basis vector leaves the kernel
+        bad = int(np.flatnonzero(system.any(axis=0))[0])
 
-    def corrupted_vectors(self, rows, cols):
-        vectors = kernel_vectors(self, rows, cols)
-        vectors[0][bad] = (vectors[0][bad] + 1) % self.p
-        return vectors
+        def corrupted(self, a, bad=bad):
+            k = kernel_basis(self, a)
+            k[bad, 0] = (k[bad, 0] + 1) % self.p
+            return k
 
-    def corrupted_basis(self, a):
-        k = kernel_basis(self, a).copy()
-        k[bad, 0] = (k[bad, 0] + 1) % self.p
-        return k
-
-    for assemble, name, corrupted in (
-        (modcat._hom_kernel_rows, "kernel_vectors", corrupted_vectors),
-        (modcat._hom_kernel_scatter, "kernel_basis", corrupted_basis),
-    ):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(PrimeField, name, corrupted)
+            mp.setattr(PrimeField, "kernel_basis", corrupted)
             with pytest.raises(RuntimeError, match="hom kernel certificate failed"):
-                assemble(m, m)
+                modcat._hom_basis_compute(module, module)
 
 
 def test_hom_basis_blocks_are_read_only(workspace):
@@ -1205,25 +1212,26 @@ def test_glued_t2_splits_through_its_summands(monkeypatch):
     assert len(pieces) == 7
 
 
-# -- Hom systems on Python integers and by index scatter -----------------------
+# -- Hom systems against the np.kron reference ----------------------------------
 
 
 def assert_same_hom_kernel(m, n):
-    rows, scatter = modcat._hom_kernel_rows(m, n), modcat._hom_kernel_scatter(m, n)
-    assert rows.dtype == scatter.dtype == np.int64 and rows.shape == scatter.shape
-    assert rows.tobytes() == scatter.tobytes()
+    rows = modcat._hom_basis_compute(m, n).rows
+    reference = m.algebra.field.kernel_basis(kron_system(m, n)).T
+    assert rows.dtype == reference.dtype == np.int64 and rows.shape == reference.shape
+    assert rows.tobytes() == reference.tobytes()
 
 
 @closure_settings
 @given(module_pairs())
-def test_both_hom_assemblies_give_the_same_basis(pair):
-    # interval sums reach systems on both sides of SMALL cells; each assembly works at any size
+def test_hom_basis_is_the_kernel_of_the_kron_system(pair):
+    # interval sums reach systems on both sides of SMALL cells
     m, n = pair
     for source, target in ((m, n), (n, m), (m, m)):
         assert_same_hom_kernel(source, target)
 
 
-def test_both_hom_assemblies_agree_on_kronecker_modules(kronecker_modules):
+def test_hom_basis_is_the_kernel_of_the_kron_system_on_kronecker_modules(kronecker_modules):
     for m in kronecker_modules:
         for n in kronecker_modules:
             assert_same_hom_kernel(m, n)
@@ -1233,17 +1241,16 @@ def test_both_hom_assemblies_agree_on_kronecker_modules(kronecker_modules):
 def test_a_hom_system_without_equations_is_not_eliminated(a2, monkeypatch, size):
     # Hom(S(1)^size, S(1)^size) over 1 -> 2: arrow d runs into vertex 2, where the target is zero
     m = QModule(a2, {"1": size}, {})
-    expected = [modcat._hom_kernel_rows(m, m), modcat._hom_kernel_scatter(m, m)]
-    assert all(np.array_equal(e, np.eye(size * size, dtype=np.int64)) for e in expected)
 
     def refuse(*args):
         raise AssertionError("a system without equations was eliminated")
 
-    monkeypatch.setattr(modcat, "_hom_kernel_rows", refuse)
-    monkeypatch.setattr(modcat, "_hom_kernel_scatter", refuse)
+    monkeypatch.setattr(PrimeField, "reduce_rows", refuse)
+    monkeypatch.setattr(PrimeField, "_rref_numpy", refuse)
     basis = modcat._hom_basis_compute(m, m)
-    assert np.array_equal(basis.rows, expected[0])
-    assert np.array_equal(np.array([f.to_vector() for f in basis]), expected[0])
+    expected = np.eye(size * size, dtype=np.int64)
+    assert basis.rows.dtype == np.int64 and basis.rows.tobytes() == expected.tobytes()
+    assert np.array_equal(np.array([f.to_vector() for f in basis]), expected)
     for f in basis:
         assert_revalidates(f)
 
