@@ -35,6 +35,11 @@ def memo(owner: object, table: str, key: Any, build: Callable[[], Any]) -> Any:
     return cache[key]
 
 
+def memo_table(owner: object, table: str) -> dict:
+    """The named table of ``owner`` as it stands, for reading only; ``{}`` before its first entry."""
+    return owner.__dict__.get("_memo", {}).get(table, {})
+
+
 class Arrow(NamedTuple):
     name: str
     source: str

@@ -246,7 +246,9 @@ def minimal_right_approximation(x: QModule, add_list: list[QModule]) -> QMorphis
         return zero_morphism(zero_module(x.algebra), x)
     u0 = direct_sum(x.algebra, [add_list[i] for i, _ in slots])
     blocks = {v: np.hstack([to_x[i].stack(v)[k] for i, k in slots]) for v in x.dims}
-    return QMorphism(u0, x, blocks)
+    # certified by construction: on each copy of U0's block-diagonal sum the map is a
+    # certified basis map of Hom(U_i, X), so every square commutes summand by summand
+    return QMorphism._certified(u0, x, blocks)
 
 
 def minimal_left_approximation(x: QModule, add_list: list[QModule]) -> QMorphism:

@@ -11,12 +11,23 @@ basis is deterministic.  The dimension is checked against a second
 route that shares only the resolution: the cohomology of Hom(P_*, N) in
 Yoneda coordinates, Hom(P(v), N) = N_v (each resolution records the
 generator vertices of its terms), where Hom(d_k, N) is a block matrix
-of N's path actions and needs no hom kernel, morphism or solve.
-Resolutions are cached per module object with ``memo``; a request longer
-than the cached one extends it from its last step, and a resolution that
-reaches a zero syzygy repeats that zero module from there on without
-further covers.  Cover generators are unit vectors read off the
-complement of the radical (``top_lifts``), so no top quotient is built.
+of N's path actions and needs no hom kernel, morphism or solve.  The
+syzygy route reads Hom(Omega^i M, N) off the square equations: a syzygy
+is a kernel, never a ``direct_sum`` of projectives, so ``hom_basis``
+does not take its Yoneda route there, and the two routes share no
+Yoneda matrix.  Hom out of a resolution term, whose maps factor through
+the syzygy, is read off the Yoneda lemma.
+
+A resolution is its module's cover, the kernel of that cover, and the
+first syzygy's own resolution spliced on as the tail (``_extend``).
+Resolutions are cached per module object with ``memo``, and kernels are
+shared per presentation, so each syzygy presentation is covered and
+resolved once however many modules reach it; a request longer than the
+cached one extends the tail.  A resolution that reaches a zero syzygy
+repeats that zero module from there on without further covers.  Cover
+generators are unit vectors read off the complement of the radical
+(``top_lifts``), so no top quotient is built, and the cover is a module
+map by construction.
 """
 
 from __future__ import annotations
@@ -128,6 +139,9 @@ def _projective_cover(m: QModule) -> tuple[QMorphism, tuple[str, ...]]:
     The generators are the unit vectors ``top_lifts`` reads off the
     complement of the radical; the trivial path of the g-th summand P(v)
     goes to the g-th of them, and every residue path q of P(v) to q times it.
+    That map is a module map by construction: P(v) is free on e_v modulo
+    the relations, and m satisfies them (its constructor checks them).  So
+    it is certified without a square check; surjectivity is still checked.
     """
     algebra = m.algebra
     field = algebra.field
@@ -142,14 +156,15 @@ def _projective_cover(m: QModule) -> tuple[QMorphism, tuple[str, ...]]:
             continue
         for u in vertices:
             paths = algebra.basis_paths_between(v, u)
-            if not paths:
+            if not (paths and m.dims[u]):
+                # nothing to place: later generators fill no column at u either
                 continue
             # column (g, k): the k-th residue path v -> u applied to the g-th lift at v
             actions = np.stack([m.path_action(algebra.basis[bi])[:, lifts[v]] for bi in paths], axis=2)
             width = len(lifts[v]) * len(paths)
             blocks[u][:, offsets[u] : offsets[u] + width] = actions.reshape(m.dims[u], width)
             offsets[u] += width
-    morphism = QMorphism(cover, m, blocks)
+    morphism = QMorphism._certified(cover, m, blocks)
     if not morphism.is_surjective():
         raise RuntimeError("projective cover failed to surject")
     return morphism, generators
@@ -167,12 +182,12 @@ def projective_resolution(m: QModule, length: int) -> Resolution:
     """Minimal projective resolution computed out to at least the given degree.
 
     A cached resolution is reused when it is long enough; otherwise it is
-    extended from its last step, so its terms and syzygies keep their
-    identity (and the hom and Ext memo entries keyed on them stay valid).
+    extended (``_extend``), so its terms and syzygies keep their identity
+    (and the hom and Ext memo entries keyed on them stay valid).
     """
     res = memo(m.algebra, "resolution", m, lambda: _resolution_start(m))
     if res.length_computed() < length:
-        res = m.algebra._memo["resolution"][m] = _extend(res, length)
+        res = _extend(m, length)
     return res
 
 
@@ -181,41 +196,71 @@ def _resolution_start(m: QModule) -> Resolution:
     return Resolution(m, "projective", (augmentation.source,), (), augmentation, (), (gens,))
 
 
-def _extend(res: Resolution, length: int) -> Resolution:
-    """``res`` continued out to ``length`` steps.
+def _extend(m: QModule, length: int) -> Resolution:
+    """m's cached resolution continued out to ``length`` steps, with the tail spliced on.
 
-    The next syzygy is the kernel of the last map d_k (the augmentation
-    for k = 0).  It equals the kernel of the cover P_k ->> Omega^k, since
-    d_k is that cover followed by an injection, which leaves the row
-    space, and so the kernel basis, unchanged.  A zero syzygy is its own
-    cover, and from there on every syzygy, term and map is the same zero
-    module and zero map.
+    A resolution is its module's cover, the kernel Omega of that cover,
+    and Omega's own memoized resolution, out to one step fewer, spliced on
+    as the tail: its terms, generators, syzygies and differentials follow,
+    and d_1 is the inclusion after Omega's augmentation.  So Omega is
+    covered and resolved once, however many modules have it as a syzygy
+    (kernels are shared per presentation).  This is the step-by-step
+    resolution: the kernel of d_k is the kernel of the cover
+    P_k ->> Omega^k, since d_k is that cover followed by an injection,
+    which leaves the row space, and so the kernel basis, unchanged.
+
+    The chain of first syzygies whose cached resolutions are too short is
+    walked down first and spliced from the innermost out, so no request
+    recurses, however long.  A zero syzygy is its own cover, and from
+    there on every syzygy, term and map is the same zero module and zero
+    map.  Objects already in a cached resolution keep their identity.
     """
-    terms, generators = list(res.terms), list(res.generators)
-    differentials, syzygies = list(res.differentials), list(res.syzygies)
-    last = differentials[-1] if differentials else res.augmentation
-    while len(terms) <= length:
-        if terms[-1].total_dim:
-            syz, incl = kernel(last)
-            if syz.total_dim:
-                cover, gens = _projective_cover(syz)
-                last = incl.compose(cover)
-            else:
-                last, gens = incl, ()
+    table = m.algebra._memo["resolution"]
+    chain = []
+    while True:
+        res = table[m]
+        p0 = res.terms[0]
+        if res.syzygies:
+            syz, incl = res.syzygies[0]
+        elif p0.total_dim:
+            syz, incl = kernel(res.augmentation)
         else:
-            syz = terms[-1]
-            if last.target is not syz:
-                last = zero_morphism(syz, syz)
-            incl, gens = last, ()
-        syzygies.append((syz, incl))
-        differentials.append(last)
-        terms.append(last.source)
-        generators.append(gens)
+            syz, incl = p0, zero_morphism(p0, p0)
+        chain.append((m, length, syz, incl))
+        if not syz.total_dim:
+            break
+        tail = memo(m.algebra, "resolution", syz, lambda: _resolution_start(syz))
+        if tail.length_computed() >= length - 1:
+            break
+        m, length = syz, length - 1
+    for m, length, syz, incl in reversed(chain):
+        table[m] = _splice(table[m], length, syz, incl, table.get(syz))
+    return table[chain[0][0]]
+
+
+def _splice(res: Resolution, length: int, syz: QModule, incl: QMorphism, tail: Resolution | None) -> Resolution:
+    """``res`` out to ``length`` steps from its first syzygy (syz, incl) and syz's resolution ``tail``."""
+    p0, gens = res.terms[0], res.generators[0]
+    if res.syzygies:
+        # spliced before, by an earlier request or, for a module that is its own syzygy, by this walk
+        syz, incl = res.syzygies[0]
+    if syz.total_dim:
+        first = res.differentials[0] if res.differentials else incl.compose(tail.augmentation)
+        return res._replace(
+            terms=(p0, *tail.terms),
+            differentials=(first, *tail.differentials),
+            syzygies=((syz, incl), *tail.syzygies),
+            generators=(gens, *tail.generators),
+        )
+    if len(res.syzygies) > 1:
+        zero = res.syzygies[1][1]
+    else:
+        zero = incl if incl.target is syz else zero_morphism(syz, syz)
     return res._replace(
-        terms=tuple(terms),
-        differentials=tuple(differentials),
-        syzygies=tuple(syzygies),
-        generators=tuple(generators),
+        terms=(p0,) + (syz,) * length,
+        differentials=(incl,) + (zero,) * (length - 1),
+        syzygies=((syz, incl),) + ((syz, zero),) * (length - 1),
+        generators=(gens,) + ((),) * length,
     )
 
 

@@ -16,8 +16,11 @@ instead, reducing each block mod p.
 
 Elimination (``rref``, ``kernel_basis``, ``solve_matrix`` and what is
 built on them: ``rank``, ``image_basis``, ``inverse``) reads one reduced
-form, and ``PrimeField._reduce`` alone picks the route that computes it.
-The form is unique, so the route never changes an answer.  An input of
+form, and ``PrimeField._reduce`` picks the route that computes it for an
+array; ``certified_kernel_rows`` picks it for a system given as rows of
+Python integers (a Hom system), which at most ``SMALL`` cells never
+becomes an array before its certified kernel does.  The form is unique,
+so the route never changes an answer.  An input of
 at most ``SMALL`` cells is reduced on lists of Python integers, where
 numpy's per-call overhead would cost more than the arithmetic; this is
 the base case of dense elimination over word-size primes (Dumas,
@@ -148,7 +151,7 @@ class PrimeField:
     # -- elimination ---------------------------------------------------
 
     def _reduce(self, m: np.ndarray) -> tuple[list[list[int]] | np.ndarray, list[int]]:
-        """The reduced form of ``m`` and its pivot columns; the one place the route is decided.
+        """The reduced form of an array ``m`` and its pivot columns; where its route is decided.
 
         Rows of Python integers from ``reduce_rows`` at most ``SMALL``
         cells, else an int64 array from ``_rref_numpy``.
@@ -251,7 +254,11 @@ class PrimeField:
         cols = m.shape[1]
         if not m.size:
             return self.identity(cols)
-        r, pivots = self._reduce(m)
+        vectors = self._kernel_vectors(*self._reduce(m), cols)
+        return np.array(vectors, dtype=np.int64).reshape(len(vectors), cols).T.copy()
+
+    def _kernel_vectors(self, r, pivots: list[int], cols: int) -> list[list[int]]:
+        """The kernel vectors of a reduced form: per free column, 1 there and minus that column's pivot-row entries."""
         pivot_set = set(pivots)
         vectors = []
         for free in range(cols):
@@ -261,7 +268,32 @@ class PrimeField:
                 for row, pc in zip(r, pivots):
                     vec[pc] = -row[free] % self.p
                 vectors.append(vec)
-        return np.array(vectors, dtype=np.int64).reshape(len(vectors), cols).T.copy()
+        return vectors
+
+    def certified_kernel_rows(self, system: list[list[int]], cols: int) -> np.ndarray:
+        """The rows of K, where K's columns are ``kernel_basis`` of a system given as rows of residues.
+
+        Certified by system @ K == 0; a system without rows has the
+        identity as its kernel, and there is nothing to certify.  At most
+        ``SMALL`` cells the system is reduced, read and certified on
+        Python integers, and K is converted to int64 once; a larger one is
+        converted first and certified by one ``matmul``.
+        """
+        if not system:
+            return self.identity(cols)
+        if len(system) * cols <= SMALL:
+            p = self.p
+            vectors = self._kernel_vectors(*self.reduce_rows(system), cols)
+            failed = any(sum(x * y for x, y in zip(row, vec)) % p for vec in vectors for row in system)
+            kernel = np.array(vectors, dtype=np.int64).reshape(len(vectors), cols)
+        else:
+            array = np.array(system, dtype=np.int64)
+            columns = self.kernel_basis(array)
+            failed = self.matmul(array, columns).any()
+            kernel = columns.T.copy()
+        if failed:
+            raise RuntimeError(f"kernel certificate failed: system @ K != 0 for a {len(system)} x {cols} system")
+        return kernel
 
     def image_basis(self, m: np.ndarray) -> np.ndarray:
         """Columns of ``m`` forming a basis of the column space."""

@@ -9,19 +9,22 @@ Modules and morphisms are immutable.  ``QModule`` and ``QMorphism``
 validate eagerly (vertex and arrow names, relations, arrow squares), so
 a construction bug fails loudly where an invalid object would first
 exist; entries must have an integer dtype, and nothing is truncated or
-cast.  Morphisms a caller builds, factorizations, induced maps and
-approximation maps go through ``QMorphism``.  Three kinds are certified
-by construction (``QMorphism._certified``): hom bases, whose square
-equations are built row by row on Python integers, reduced by
-``PrimeField.kernel_basis`` on the route the system's size picks, and
-certified as a whole by one product ``system @ K == 0`` (read-only
-blocks, as the hom memo shares them); derived arithmetic (zero maps,
+cast.  Morphisms a caller builds, factorizations and induced maps go
+through ``QMorphism``.  Three kinds are certified by construction
+(``QMorphism._certified``): hom bases (read-only blocks, as the hom
+memo shares them), which are either read off the Yoneda lemma when the
+source is a ``direct_sum`` of the algebra's own projectives, or the
+kernel of square equations built row by row on Python integers and
+certified as a whole by system @ K == 0 in
+``PrimeField.certified_kernel_rows``; derived arithmetic (zero maps,
 compose, add, scale, inverse, identity, dual), which is closed on valid
-morphisms; and canonical maps whose squares are the equations that
-built them (sub-module inclusions, whose arrow maps are solved from
-those squares, quotient projections, whose squares are the
-well-definedness check, split projections along submodules that fill
-the module, and the coordinate copies into and out of a direct sum).
+morphisms; and canonical maps whose squares hold by how they are built
+(sub-module inclusions, whose arrow maps are solved from those squares,
+quotient projections, whose squares are the well-definedness check,
+split projections along submodules that fill the module, the coordinate
+copies into and out of a direct sum, projective covers, a recollement's
+block copies, and minimal approximations, which stack certified basis
+maps on the copies of a sum; each call site says why).
 
 The modules that ``kernel``, ``image`` and ``cokernel`` build are shared:
 ``submodule_from_bases`` and ``quotient_by_images`` return the algebra's
@@ -33,11 +36,14 @@ every memoized answer (Hom basis, resolution, Ext, split) depends only
 on the presentation, so equal presentations get identical answers.  The
 first syzygies [j+1, n] of all intervals [i, j] over a line, for
 example, are one object with one Hom memo row.  Each call still builds
-its own inclusion or projection.  ``direct_sum`` is cached
-per tuple of summands, so covers with the same generators share one
-term, and a sum splits through its summands' own certified splits and
-its canonical maps, without End(sum).  Modules built directly with
-``QModule`` are never shared.
+its own inclusion or projection.  A recollement's block functors
+return shared modules too.  ``direct_sum`` is not shared by
+presentation: it is cached per tuple of summands, so covers with the
+same generators share one term, and only it writes the ``summands``
+table, so a kernel is never mistaken for a sum of projectives.  A sum
+splits through its summands' own certified splits and its canonical
+maps, without End(sum).  Modules built directly with ``QModule`` are
+never shared.
 
 Decomposition into indecomposables cuts a module along the generalized
 eigenspaces of one endomorphism.  A splitting step first solves for the
@@ -80,7 +86,7 @@ from random import Random
 
 import numpy as np
 
-from .algebra import BoundQuiverAlgebra, Path, memo
+from .algebra import BoundQuiverAlgebra, Path, memo, memo_table
 from .errors import (
     AlgebraMismatch,
     FieldTooSmall,
@@ -207,11 +213,12 @@ class QMorphism:
     def _certified(cls, source: QModule, target: QModule, blocks: dict[str, np.ndarray]) -> QMorphism:
         """A morphism whose blocks are valid by construction: no square check.
 
-        ``_hom_basis_compute`` certifies a whole kernel with one product; a
-        zero map, a composite, sum, multiple, inverse or dual of valid
-        morphisms, or a combination of a certified basis, is valid, so its
-        squares cannot fail; so is a canonical map whose squares are the
-        equations it was solved or checked from (each call site says why).
+        ``_hom_basis_compute`` certifies a whole basis at once (a kernel by
+        one product, a Yoneda basis by construction); a zero map, a
+        composite, sum, multiple, inverse or dual of valid morphisms, or a
+        combination of a certified basis, is valid, so its squares cannot
+        fail; so is a canonical map whose squares hold by how it was built
+        (each call site says why).
         """
         f = cls.__new__(cls)
         f.source, f.target, f.blocks = source, target, blocks
@@ -360,17 +367,12 @@ def hom_basis(source: QModule, target: QModule) -> HomSpace:
 
 
 def _hom_basis_compute(source: QModule, target: QModule) -> HomSpace:
-    """The kernel K of the square equations, certified by one product system @ K == 0.
+    """A basis of Hom(source, target), laid out as rows of the blocks X_v (t_v x s_v, row-major).
 
-    Unknowns are the blocks X_v (t_v x s_v, row-major).  The equation
-    N_a X_u - X_w M_a = 0 of an arrow a: u -> w fills rows (i, j) of its
-    block: column (u, k, j) gets N_a[i, k] and column (w, i, l) gets
-    -M_a[l, j].  ``_hom_kernel`` assembles them and reads K off
-    ``PrimeField.kernel_basis``, which picks the elimination route by
-    the system's size.  A system with no equation (no arrow runs from a
-    vertex where the source is nonzero to one where the target is) has
-    no cells, so ``kernel_basis`` returns the identity without
-    eliminating.
+    When the source is the algebra's own P(v) or a ``direct_sum`` of them,
+    the basis is read off the Yoneda lemma (``_yoneda_rows``) with no
+    linear system.  Otherwise it is the kernel K of the square equations,
+    certified by system @ K == 0 (``_hom_kernel``).
     """
     offsets, total = {}, 0
     for v in source.algebra.quiver.vertices:
@@ -378,15 +380,72 @@ def _hom_basis_compute(source: QModule, target: QModule) -> HomSpace:
         total += target.dims[v] * source.dims[v]
     if total == 0:
         return HomSpace(source, target, np.zeros((0, 0), dtype=np.int64), offsets)
+    generators = _projective_generators(source)
+    if generators is not None:
+        return HomSpace(source, target, _yoneda_rows(source, target, generators, offsets, total), offsets)
     return HomSpace(source, target, _hom_kernel(source, target, offsets, total), offsets)
 
 
-def _hom_kernel(source: QModule, target: QModule, offsets: dict[str, int], total: int) -> np.ndarray:
-    """The rows of K^T, certified by system @ K == 0.
+def _projective_generators(m: QModule) -> tuple[str, ...] | None:
+    """The vertices v_g when m is the algebra's own P(v) or a ``direct_sum`` of such, else None.
 
-    The square equations are built row by row on Python integers and
-    converted to int64 once.  A system without equations has the
-    identity as its kernel, and there is nothing to certify.
+    Read off the ``summands`` table, which only ``direct_sum`` writes, and
+    the ``projective`` table; neither lookup computes or writes anything.
+    """
+    projectives = memo_table(m.algebra, "projective").items()
+    generators = []
+    for part in memo_table(m.algebra, "summands").get(m, (m,)):
+        v = next((v for v, p in projectives if p is part), None)
+        if v is None:
+            return None
+        generators.append(v)
+    return tuple(generators)
+
+
+def _yoneda_rows(
+    source: QModule, target: QModule, generators: tuple[str, ...], offsets: dict[str, int], total: int
+) -> np.ndarray:
+    """Hom(P, N) for P = sum of the P(v_g), by the Yoneda lemma; no linear system.
+
+    Row (g, k) is the map that sends e_g to the k-th unit vector of
+    N_(v_g).  Its block at u holds N(q)[:, k] in the column of q e_g, for
+    each residue path q: v_g -> u, at summand g's column offset.  Each row
+    is a module map because N satisfies the relations, and there are
+    sum dim N_(v_g) = dim Hom(P, N) of them, independent by evaluation at
+    the e_g: they are a basis, certified by construction.
+    """
+    algebra = source.algebra
+    n = sum(target.dims[v] for v in generators)
+    rows = np.zeros((n, total), dtype=np.int64)
+    columns = dict.fromkeys(offsets, 0)
+    row, actions = 0, {}
+    for v in generators:
+        t = target.dims[v]
+        for u, o in offsets.items():
+            paths = algebra.basis_paths_between(v, u)
+            t_u, s_u = target.dims[u], source.dims[u]
+            if t and t_u and paths:
+                if (v, u) not in actions:
+                    # entry (k, i, q) is N(q)[i, k]
+                    actions[v, u] = np.stack([target.path_action(algebra.basis[q]) for q in paths]).transpose(2, 1, 0)
+                # the blocks at u of every row, as a view of rows
+                blocks = rows[:, o : o + t_u * s_u].reshape(n, t_u, s_u)
+                blocks[row : row + t, :, columns[u] : columns[u] + len(paths)] = actions[v, u]
+            columns[u] += len(paths)
+        row += t
+    return rows
+
+
+def _hom_kernel(source: QModule, target: QModule, offsets: dict[str, int], total: int) -> np.ndarray:
+    """The rows of K, the kernel of the square equations, certified by system @ K == 0.
+
+    The equation N_a X_u - X_w M_a = 0 of an arrow a: u -> w fills rows
+    (i, j) of its block: column (u, k, j) gets N_a[i, k] and column
+    (w, i, l) gets -M_a[l, j].  The rows are built on Python integers and
+    handed to ``PrimeField.certified_kernel_rows``, which picks the
+    elimination route by the system's size; a system without equations
+    (no arrow runs from a vertex where the source is nonzero to one where
+    the target is) has the identity as its kernel and is not eliminated.
     """
     field = source.algebra.field
     p = field.p
@@ -404,12 +463,7 @@ def _hom_kernel(source: QModule, target: QModule, offsets: dict[str, int], total
                     c = o_w + i * s_w + l
                     row[c] = (row[c] - m_a[l][j]) % p
                 equations.append(row)
-    system = np.array(equations, dtype=np.int64).reshape(len(equations), total)
-    kernel = field.kernel_basis(system)
-    if equations and field.matmul(system, kernel).any():
-        pair = f"{source.dim_vector()} -> {target.dim_vector()}"
-        raise RuntimeError(f"hom kernel certificate failed: system @ K != 0 for {pair}")
-    return kernel.T.copy()
+    return field.certified_kernel_rows(equations, total)
 
 
 def hom_dim(source: QModule, target: QModule) -> int:
@@ -428,12 +482,15 @@ def _shared_module(algebra: BoundQuiverAlgebra, dims: dict[str, int], maps: dict
     """The algebra's one module with this presentation (dims and canonical maps).
 
     Keyed by ``_fingerprint``; a hit is checked for equal dims and equal
-    maps, and on a mismatch the module is not shared.
+    maps, and on a mismatch the module is not shared.  A miss builds the
+    module that the key then holds.
     """
     dim_vector = tuple(int(dims.get(v, 0)) for v in algebra.quiver.vertices)
     arrows = [maps[a.name] for a in algebra.quiver.arrows]
     key = _fingerprint(dim_vector, arrows)
-    shared = memo(algebra, "module", key, lambda: QModule(algebra, dims, maps))
+    shared = memo_table(algebra, "module").get(key)
+    if shared is None:
+        return memo(algebra, "module", key, lambda: QModule(algebra, dims, maps))
     if shared.dim_vector() == dim_vector and all(
         np.array_equal(shared.maps[a.name], m) for a, m in zip(algebra.quiver.arrows, arrows)
     ):
@@ -533,7 +590,11 @@ def simple(algebra: BoundQuiverAlgebra, v: str) -> QModule:
 
 
 def projective(algebra: BoundQuiverAlgebra, v: str) -> QModule:
-    """P(v): basis are the residue paths with source v, arrows act by composition."""
+    """P(v): basis are the residue paths with source v, arrows act by composition.
+
+    Built once per vertex, so Hom out of it (or out of a ``direct_sum`` of
+    such) is read off the Yoneda lemma.
+    """
     algebra.quiver.check_vertex(v)
 
     def build():
@@ -601,7 +662,9 @@ def direct_sum(algebra: BoundQuiverAlgebra, modules: list[QModule]) -> QModule:
     """The sum of ``modules`` with block-diagonal arrow maps, in the given order.
 
     Cached per tuple of summand objects, so covers with the same
-    generators share one module; ``split_summands`` reads its summands.
+    generators share one module.  The ``summands`` table records the
+    summands of each sum built here, and nothing else writes it:
+    ``split_summands`` and the Yoneda route of ``hom_basis`` read it.
     """
     for m in modules:
         if m.algebra is not algebra:
@@ -735,7 +798,7 @@ def split_summands(m: QModule) -> list[tuple[QModule, QMorphism, QMorphism]]:
 
 
 def _split_summands_compute(m: QModule) -> tuple[tuple[QModule, QMorphism, QMorphism], ...]:
-    summands = memo(m.algebra, "summands", m, tuple)
+    summands = memo_table(m.algebra, "summands").get(m, ())
     result, stack = [], []
     if len(summands) > 1:
         _, injections, projections = direct_sum_with_maps(m.algebra, list(summands))

@@ -27,7 +27,7 @@ import numpy as np
 from . import homology as hgy
 from .algebra import BoundQuiverAlgebra, Path, Quiver, memo
 from .errors import AlgebraMismatch, NotTriangular
-from .modcat import QModule, QMorphism, quotient_by_images, simple
+from .modcat import QModule, QMorphism, _shared_module, quotient_by_images, simple
 
 
 class CanonicalSequence(NamedTuple):
@@ -137,21 +137,40 @@ class Recollement:
         return self._copy_block_mor(f, self.j_upper_star, "c")
 
     def _copy_block(self, m: QModule, side: str, onto: BoundQuiverAlgebra) -> QModule:
-        """m's spaces at the block's vertices and maps along its arrows, as a module over ``onto``."""
+        """m's spaces at the block's vertices and maps along its arrows, as ``onto``'s shared module.
+
+        Arrows of ``onto`` outside the block get zero maps.  The image is
+        ``onto``'s one module for its presentation, so a functor applied
+        to equal presentations gives one object, with one memo row.
+        """
         algebra, vertices = self._blocks[side]
-        dims = {v: m.dims.get(v, 0) for v in vertices}
-        maps = {a.name: m.maps[a.name] for a in algebra.quiver.arrows}
-        return QModule(onto, dims, maps)
+        dims = {v: m.dims.get(v, 0) if v in vertices else 0 for v in onto.quiver.vertices}
+        inside = algebra.quiver.arrow_by_name
+        maps = {
+            a.name: m.maps[a.name] if a.name in inside else onto.field.zeros(dims[a.target], dims[a.source])
+            for a in onto.quiver.arrows
+        }
+        return _shared_module(onto, dims, maps)
 
     def _copy_block_mor(self, f: QMorphism, functor, side: str) -> QMorphism:
-        """A block functor on a morphism: the same blocks at the block's vertices."""
+        """A block functor on a morphism: the same blocks at the block's vertices, zero blocks elsewhere.
+
+        Certified by construction: f's squares at the block's arrows are
+        the image's squares there, and every other arrow of the image has
+        a zero space at one end, so its square is 0 = 0.
+        """
         vertices = self._blocks[side][1]
-        return QMorphism(functor(f.source), functor(f.target), {v: f.blocks[v] for v in vertices})
+        source, target = functor(f.source), functor(f.target)
+        zeros = source.algebra.field.zeros
+        blocks = {
+            v: f.blocks[v] if v in vertices else zeros(target.dims[v], source.dims[v]) for v in source.dims
+        }
+        return QMorphism._certified(source, target, blocks)
 
     def _extend_by_zero(self, x: QModule, side: str, name: str) -> QModule:
         if x.algebra is not self._blocks[side][0]:
             raise AlgebraMismatch(f"{name} expects a module over the {side}-side algebra")
-        return self._copy_block(x, side, self.total)
+        return memo(self, name, x, lambda: self._copy_block(x, side, self.total))
 
     def _restrict_to_block(self, m: QModule, side: str, name: str) -> QModule:
         self._expect_total(m)

@@ -25,6 +25,7 @@ from quiverglue.bundled import load_workspace
 from quiverglue.errors import KernelNotInV, NotSurjective, NotTilting, PreconditionFailed
 from quiverglue.modcat import (
     QModule,
+    QMorphism,
     decompose,
     direct_sum,
     hom_basis,
@@ -84,6 +85,16 @@ def test_minimal_right_approximation_drops_redundancy(a2):
     f = minimal_right_approximation(p1, [p1, simple(a2, "2")])
     assert f.source.dim_vector() == p1.dim_vector()
     assert f.is_isomorphism()
+
+
+@pytest.mark.parametrize("side", ["a", "c", "b"])
+def test_minimal_right_approximations_pass_the_square_checks(univ_a, univ_c, univ_b, side):
+    # U0 -> X is certified by construction, one certified basis map per copy; the validating
+    # constructor agrees on every member approximated by the whole universe
+    universe = {"a": univ_a, "c": univ_c, "b": univ_b}[side]
+    for x in universe.modules():
+        f = minimal_right_approximation(x, universe.modules())
+        assert np.array_equal(QMorphism(f.source, f.target, f.blocks).to_vector(), f.to_vector())
 
 
 def test_minimal_left_approximation_dual(a2):

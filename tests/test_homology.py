@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hom_oracle import arrow_kernel
+
 from quiverglue import PrimeField, QModule, QMorphism, Quiver, build_algebra
 from quiverglue import homology as hgy
+from quiverglue import modcat
+from quiverglue.algebra import memo_table
+from quiverglue.bundled import load_workspace
 from quiverglue.modcat import (
     cokernel,
     direct_sum,
@@ -196,6 +203,12 @@ def test_pd_cap_returns_none():
     # the self-loop algebra has infinite global dimension; the cap reports None
     assert hgy.pd(simple_mod(algebra, "1"), cap=6) is None
     assert hgy.global_dimension(algebra, cap=4) is None
+    # a resolution far past the interpreter's recursion limit: the splice walks its syzygies, it does not recurse
+    s = QModule(algebra, {"1": 1}, {})
+    res = hgy.projective_resolution(s, 3 * sys.getrecursionlimit())
+    assert hgy.pd(s, cap=3 * sys.getrecursionlimit()) is None
+    omega = res.syzygies[0][0]  # the simple module again, shared per presentation from here on
+    assert all(syz is omega and term is res.terms[1] for (syz, _), term in zip(res.syzygies[1:], res.terms[1:]))
 
 
 def test_long_exact_sequence_euler_check(bound_a3):
@@ -426,19 +439,132 @@ def test_extending_a_resolution_keeps_its_objects(workspace, bound_a3):
 def test_no_cover_is_built_past_a_zero_syzygy(a7_intervals, monkeypatch):
     covered = []
     cover = hgy._projective_cover
+    monkeypatch.setattr(hgy, "_projective_cover", lambda m: covered.append(m) or cover(m))
+    # fresh intervals over a fresh algebra: cold resolution and module memos
+    vertices = a7_intervals[0].algebra.quiver.vertices
+    algebra = build_algebra(a7_intervals[0].algebra.quiver, [], field=PrimeField(101), name="A7")
+    intervals = [QModule(algebra, dict(m.dims), dict(m.maps)) for m in a7_intervals]
+    for m in intervals:
+        hgy.pd(m)  # resolves to cap + 1 = 9 steps
+        zeros = [syz for syz, _ in hgy.projective_resolution(m, 9).syzygies if not syz.total_dim]
+        assert zeros and not any(z is x for z in zeros for x in covered)
+    # each interval once, and the first syzygy [j + 1, 7] of every [i, j] with j < 7 once: the
+    # six kernels are shared per presentation, and a resolution splices on its syzygy's own one
+    assert all(x.total_dim for x in covered)
+    assert len({id(x) for x in covered}) == len(covered) == len(intervals) + len(vertices) - 1
+    resolved = memo_table(algebra, "resolution")
+    assert {id(x) for x in covered} == {id(x) for x in resolved}
 
-    def counting_cover(m):
-        covered.append(m)
-        return cover(m)
 
-    monkeypatch.setattr(hgy, "_projective_cover", counting_cover)
-    for m in a7_intervals:
-        m = QModule(m.algebra, m.dims, m.maps)  # a fresh object: cold resolution memo
-        covered.clear()
-        d = hgy.pd(m)
-        # one cover for m and one per nonzero syzygy, however far pd resolves (cap + 1 = 9)
-        assert len(covered) == d + 1
-        assert covered[0] is m and all(x.total_dim for x in covered)
+def test_a_resolution_splices_on_its_first_syzygys_own(bound_a3):
+    s3 = QModule(bound_a3, {"3": 1}, {})  # a fresh object: cold resolution memo
+    res = hgy.projective_resolution(s3, 3)
+    omega, incl = res.syzygies[0]
+    tail = hgy.projective_resolution(omega, 2)
+    assert res.terms[1:] == tail.terms and res.generators[1:] == tail.generators
+    assert res.differentials[1:] == tail.differentials and res.syzygies[1:] == tail.syzygies
+    assert same_map(res.differentials[0], incl.compose(tail.augmentation))
+
+
+def kronecker_algebra():
+    quiver = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    return build_algebra(quiver, [], field=PrimeField(101), name="kronecker")
+
+
+def a7_algebra():
+    vertices = [str(v) for v in range(1, 8)]
+    quiver = Quiver(vertices, [(f"a{v}", v, w) for v, w in zip(vertices, vertices[1:])])
+    return build_algebra(quiver, [], field=PrimeField(101), name="A7")
+
+
+def random_module(draw, kind, rng):
+    """An A7 sum of up to three intervals in a random basis, or a Kronecker module with random maps."""
+    if kind == "a7":
+        intervals = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(sorted)
+        return interval_sum(a7_algebra(), draw(st.lists(intervals, min_size=1, max_size=3)), rng)
+    d1, d2 = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
+    maps = {a: rng.integers(0, 101, size=(d2, d1)) for a in "ab"}
+    return QModule(kronecker_algebra(), {"1": d1, "2": d2}, maps)
+
+
+@st.composite
+def modules_to_resolve(draw):
+    """A module over a fresh A7 or Kronecker algebra, or the indices of one to three members of
+    bundled Lambda's ``universe_b``, which the test sums over the session's workspace."""
+    kind = draw(st.sampled_from(["a7", "kronecker", "lambda"]))
+    if kind == "lambda":
+        return tuple(draw(st.lists(st.integers(0, 14), min_size=1, max_size=3)))
+    return random_module(draw, kind, np.random.default_rng(draw(st.integers(0, 2**16))))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(modules_to_resolve())
+def test_spliced_resolutions_equal_the_step_by_step_one(workspace, m):
+    if isinstance(m, tuple):
+        members = workspace.universe_b.modules()
+        total = direct_sum(workspace.universe_b.algebra, [members[i] for i in m])
+        m = QModule(total.algebra, total.dims, total.maps)  # not a direct_sum object: cold memo
+    res = hgy.projective_resolution(m, 4)
+    terms, differentials, syzygies = reference_resolution(QModule(m.algebra, m.dims, m.maps), 4)
+    # a tail resolved further before is spliced on whole, so res may run past the four steps
+    assert len(res.terms) >= len(terms) and len(res.syzygies) >= len(syzygies)
+    assert all(a.equal_presentation(b) for a, b in zip(res.terms, terms))
+    assert all(same_map(f, g) for f, g in zip(res.differentials, differentials))
+    for (a, f), (b, g) in zip(res.syzygies, syzygies):
+        assert a.equal_presentation(b) and same_map(f, g)
+
+
+@st.composite
+def projective_sums(draw):
+    """(generator vertices, target) for Hom(sum of P(v_g), N) over a fresh A7 or Kronecker algebra,
+    or over bundled Lambda, whose target is given by its index into ``universe_b``."""
+    kind = draw(st.sampled_from(["a7", "kronecker", "lambda"]))
+    vertices = {"a7": [str(v) for v in range(1, 8)], "kronecker": ["1", "2"], "lambda": ["1", "2", "3", "4", "5"]}
+    generators = draw(st.lists(st.sampled_from(vertices[kind]), min_size=1, max_size=4).map(sorted))
+    if kind == "lambda":
+        return generators, draw(st.integers(0, 14))
+    return generators, random_module(draw, kind, np.random.default_rng(draw(st.integers(0, 2**16))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(projective_sums())
+def test_yoneda_rows_span_the_arrow_system_kernel(workspace, case):
+    generators, target = case
+    if isinstance(target, int):
+        target = workspace.universe_b.modules()[target]
+    algebra, field = target.algebra, target.algebra.field
+    parts = [projective(algebra, v) for v in generators]
+    source = parts[0] if len(parts) == 1 else direct_sum(algebra, parts)
+    assert modcat._projective_generators(source) == tuple(generators)
+    hom = modcat._hom_basis_compute(source, target)
+    reference = arrow_kernel(source, target)
+    # dim Hom(P, N) = sum of dim N_(v_g), and the two bases span one space
+    assert len(hom) == len(reference) == sum(target.dims[v] for v in generators)
+    assert hom.rows.shape == reference.shape
+    assert field.rank(hom.rows) == field.rank(np.vstack([hom.rows, reference])) == len(reference)
+    for f in hom:
+        QMorphism(f.source, f.target, f.blocks)  # each basis map passes the square checks
+
+
+def test_ext_reads_hom_out_of_each_syzygy_off_the_arrow_system(monkeypatch):
+    # Ext's syzygy route reads Hom(Omega^i M, N) off the square equations, so it shares no
+    # Yoneda matrix with the complex route; Hom out of a resolution term is the Yoneda one
+    arrow_pairs = []
+    hom_kernel = modcat._hom_kernel
+    monkeypatch.setattr(modcat, "_hom_kernel", lambda s, t, *rest: arrow_pairs.append((s, t)) or hom_kernel(s, t, *rest))
+    members = load_workspace().universe_b.modules()  # a fresh algebra: cold hom memo
+    checked = 0
+    for m in members:
+        for n in members:
+            for i in (1, 2):
+                hgy.ext(m, n, i)
+                res = hgy.projective_resolution(m, i)
+                syz = res.syzygies[i - 1][0]
+                if any(syz.dims[v] and n.dims[v] for v in syz.dims):
+                    assert any(s is syz and t is n for s, t in arrow_pairs)
+                    checked += 1
+    assert checked > 20
+    assert not any(modcat._projective_generators(s) is not None for s, _ in arrow_pairs)
 
 
 def assert_resolution_invariants(m, length=3):

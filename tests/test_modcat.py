@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hom_oracle import stacks
+from hom_oracle import kron_system, stacks
 from kronecker_power import kronecker_projective_power
 
 from quiverglue import PrimeField, QModule, QMorphism, Quiver, build_algebra, relation
 from quiverglue import homology as hgy
 from quiverglue import modcat
-from quiverglue.algebra import memo
+from quiverglue.algebra import memo, memo_table
+from quiverglue.linalg import SMALL
 from quiverglue.bundled import load_workspace
 from quiverglue.errors import (
     AlgebraMismatch,
@@ -221,6 +222,17 @@ def test_direct_sum_builds_only_the_module(monkeypatch):
     assert total_again is total
     for inj, proj in zip(injections, projections):
         assert proj.compose(inj).to_vector().tolist() == identity_morphism(inj.source).to_vector().tolist()
+
+
+def test_decomposing_a_module_that_is_not_a_sum_leaves_no_summands_entry(a2):
+    # only direct_sum writes the summands table; "not a sum" is no entry, never a sum of nothing
+    m = QModule(a2, {"1": 2, "2": 2}, {"d": [[1, 0], [0, 1]]})  # P(1)^2, built as one module
+    total = direct_sum(a2, [projective(a2, "1"), simple(a2, "2")])
+    assert len(decompose(m)) == 1 and len(split_summands(total)) == 2
+    table = memo_table(a2, "summands")
+    assert m not in table and table[total] == (projective(a2, "1"), simple(a2, "2"))
+    # so m stays off the Yoneda route of hom_basis, and End(m) is the 4-dimensional M_2(F_p)
+    assert modcat._projective_generators(m) is None and hom_dim(m, m) == 4
 
 
 def test_direct_sum_is_shared_per_tuple_of_summands(a2):
@@ -448,29 +460,6 @@ def test_top_and_socle(a2):
 # -- the hom kernel ------------------------------------------------------------
 
 
-def kron_system(source, target):
-    """The square equations of Hom(source, target) built with np.kron, as a reference."""
-    field = source.algebra.field
-    vertices = source.algebra.quiver.vertices
-    sizes = {v: target.dims[v] * source.dims[v] for v in vertices}
-    offsets = dict(zip(vertices, np.cumsum([0] + [sizes[v] for v in vertices])))
-    total = sum(sizes.values())
-    rows = [np.zeros((0, total), dtype=np.int64)]
-    for a in source.algebra.quiver.arrows:
-        u, w = a.source, a.target
-        block = np.zeros((target.dims[w] * source.dims[u], total), dtype=np.int64)
-        if sizes[u]:
-            block[:, offsets[u] : offsets[u] + sizes[u]] += np.kron(
-                target.maps[a.name], np.eye(source.dims[u], dtype=np.int64)
-            )
-        if sizes[w]:
-            block[:, offsets[w] : offsets[w] + sizes[w]] -= np.kron(
-                np.eye(target.dims[w], dtype=np.int64), source.maps[a.name].T
-            )
-        rows.append(block)
-    return np.mod(np.vstack(rows), field.p)
-
-
 @pytest.fixture(scope="module")
 def hom_pairs(workspace, kronecker_modules):
     """Every ordered pair of each bundled universe, and of the random Kronecker modules."""
@@ -501,23 +490,25 @@ def test_hom_basis_morphisms_revalidate(hom_pairs):
 def test_hom_kernel_certificate_catches_a_corrupted_column(workspace):
     universe = workspace.universe_b
     m = universe.module("(P(1)|P(3))")
-    # Hom(m, m) has 16 cells and Hom(m + m, m + m) 256, so the two systems are
-    # reduced on the list route and on the array route
-    kernel_basis = PrimeField.kernel_basis
-    for module in (m, direct_sum(universe.algebra, [m, m])):
+    modules = (m, direct_sum(universe.algebra, [m, m]))
+    # the systems of Hom(m, m) and Hom(m + m, m + m) have 16 and 256 cells, so certified_kernel_rows
+    # reduces, reads and certifies the first on Python integers and the second on int64 arrays
+    assert [kron_system(x, x).size <= SMALL for x in modules] == [True, False]
+    read = PrimeField._kernel_vectors
+    for module in modules:
         system = kron_system(module, module)
         assert modcat._hom_basis_compute(module, module)
-        # adding a unit vector outside the kernel to the first basis vector leaves the kernel
+        # adding a unit vector outside the kernel to the first kernel vector leaves the kernel
         bad = int(np.flatnonzero(system.any(axis=0))[0])
 
-        def corrupted(self, a, bad=bad):
-            k = kernel_basis(self, a)
-            k[bad, 0] = (k[bad, 0] + 1) % self.p
-            return k
+        def corrupted(self, r, pivots, cols, bad=bad):
+            vectors = read(self, r, pivots, cols)
+            vectors[0][bad] = (vectors[0][bad] + 1) % self.p
+            return vectors
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(PrimeField, "kernel_basis", corrupted)
-            with pytest.raises(RuntimeError, match="hom kernel certificate failed"):
+            mp.setattr(PrimeField, "_kernel_vectors", corrupted)
+            with pytest.raises(RuntimeError, match="kernel certificate failed"):
                 modcat._hom_basis_compute(module, module)
 
 

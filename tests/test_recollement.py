@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quiverglue import PrimeField, Quiver, build_algebra, relation
+from quiverglue import PrimeField, QModule, QMorphism, Quiver, build_algebra, relation
 from quiverglue import homology as hgy
 from quiverglue.errors import AlgebraMismatch, NotTriangular
 from quiverglue.modcat import (
@@ -235,6 +235,29 @@ def test_functor_morphism_actions_are_functorial(rec, univ_a, univ_c, univ_b, fu
                         assert _same_morphism(on_maps(g.compose(f)), on_maps(g).compose(on_maps(f)))
                         pairs += 1
     assert pairs > 0
+
+
+def test_block_functors_return_one_shared_module_per_presentation(rec, univ_a, univ_c, univ_b):
+    # equal presentations give one object, so its hom, resolution and Ext memo rows are shared
+    for functor, universe in (("i_star", univ_a), ("j_star", univ_c), ("i_shriek", univ_b), ("j_upper_star", univ_b)):
+        on_objects = getattr(rec, functor)
+        for x in universe.modules():
+            copy = QModule(x.algebra, x.dims, x.maps)
+            image = on_objects(x)
+            assert on_objects(copy) is image
+            assert image.dims == {v: x.dims.get(v, 0) for v in image.algebra.quiver.vertices}
+
+
+@pytest.mark.parametrize("functor, side", [("i_star", "a"), ("j_star", "c"), ("i_shriek", "b"), ("j_upper_star", "b")])
+def test_block_functor_maps_pass_the_square_checks(rec, univ_a, univ_c, univ_b, functor, side):
+    # the block copies are certified by construction; the validating constructor agrees
+    mods = {"a": univ_a, "c": univ_c, "b": univ_b}[side].modules()
+    on_maps = getattr(rec, f"{functor}_mor")
+    for x in mods:
+        for y in mods:
+            for f in hom_basis(x, y):
+                g = on_maps(f)
+                assert np.array_equal(QMorphism(g.source, g.target, g.blocks).to_vector(), g.to_vector())
 
 
 def test_algebra_mismatch_guard(rec, univ_c):
